@@ -57,7 +57,6 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--alpha2", type=float)
     ap.add_argument("--ttt-steps", type=int)
     ap.add_argument("--ttt-lr", type=float)
-    ap.add_argument("--workers", type=int, default=None)
     return ap.parse_args()
 
 
@@ -118,7 +117,7 @@ def main() -> int:
         t0 = time.perf_counter()
         train_events = generate_domain(cfg.domain)
         test_events = generate_domain(cfg.target_spec())
-        result = run_ablation(train_events, test_events, cfg.train, workers=args.workers)
+        result = run_ablation(train_events, test_events, cfg.train)
         accs = {v: result.metrics[v].accuracy for v in result.metrics}
         lc_full = float(np.mean([r.lc_post for r in result.records[VARIANT_FULL]]))
         lc_nc = float(np.mean([r.lc_post for r in result.records[VARIANT_NO_CONSTRAINT]]))

@@ -9,8 +9,9 @@ Parameter groups:
   theta_s  SSL head: GCN layers, relu on hidden layers and identity on the
            last so discriminator scores can take either sign
 
-Losses accumulate gradients into ``Parameter.grad`` buffers; callers zero
-them per step and hand the relevant groups to the optimizer.
+``objective`` computes any mix of the three loss terms and accumulates their
+gradients into ``Parameter.grad`` buffers; callers zero them per step and
+hand the relevant groups to the optimizer.
 """
 
 from __future__ import annotations
@@ -144,11 +145,10 @@ def _backward_stack(
     caches: Sequence[GcnCache],
     layers: Sequence[Parameter],
     grad_out: np.ndarray,
-    grad_scale: float,
 ) -> np.ndarray:
     for cache, p in zip(reversed(caches), reversed(list(layers))):
         grad_out, grad_w = gcn_backward(cache, grad_out)
-        p.grad += grad_scale * grad_w
+        p.grad += grad_w
     return grad_out
 
 
@@ -162,19 +162,6 @@ def forward_shared(
         )
     acts = ["relu"] * len(params.theta_e)
     return _run_stack(graph.adj_norm, graph.features, params.theta_e, acts)
-
-
-def backward_shared(
-    caches: Sequence[GcnCache],
-    grad_out: np.ndarray,
-    params: TardParams,
-    grad_scale: float = 1.0,
-) -> np.ndarray:
-    """Push a gradient at the shared output back into theta_e.
-
-    Returns the gradient w.r.t. the input features, mostly for testing.
-    """
-    return _backward_stack(caches, params.theta_e, grad_out, grad_scale)
 
 
 @dataclass
@@ -197,135 +184,100 @@ def forward_main(
     return probs, MainCache(gcn_caches=caches, g=g, logits=logits, num_nodes=h.shape[0])
 
 
-def backward_main(
-    cache: MainCache,
-    grad_logits: np.ndarray,
-    params: TardParams,
-    grad_scale: float = 1.0,
-) -> np.ndarray:
-    """Backward through the classification head; returns grad at shared output."""
-    params.theta_m_out_w.grad += grad_scale * np.outer(cache.g, grad_logits)
-    params.theta_m_out_b.grad += grad_scale * grad_logits[None, :]
-    grad_g = params.theta_m_out_w.value @ grad_logits
-    grad_h = mean_readout_backward(grad_g, cache.num_nodes)
-    return _backward_stack(cache.gcn_caches, params.theta_m_gcn, grad_h, grad_scale)
-
-
-def main_loss(
-    graph: PropGraph,
-    label: int,
-    params: TardParams,
-    grad_scale: float = 1.0,
-) -> tuple[float, np.ndarray]:
-    """Supervised cross-entropy for one graph; accumulates theta_e and theta_m
-    gradients (scaled). theta_s is untouched. Returns (loss, probabilities)."""
-    c = params.dims.num_classes
-    if not 0 <= label < c:
-        raise ValueError(f"label {label} outside [0, {c})")
-    shared_h, sh_caches = forward_shared(graph, params)
-    probs, cache = forward_main(shared_h, graph, params)
-    y = np.zeros((1, c))
-    y[0, label] = 1.0
-    loss, grad_logits = softmax_cross_entropy(cache.logits[None, :], y)
-    grad_shared = backward_main(cache, grad_logits[0], params, grad_scale)
-    backward_shared(sh_caches, grad_shared, params, grad_scale)
-    return loss, probs
-
-
-def _ssl_activations(params: TardParams) -> list[str]:
-    t = len(params.theta_s)
-    return ["relu"] * (t - 1) + ["identity"]
-
-
-@dataclass
-class SslCache:
-    shared0: list[GcnCache]
-    shared1: list[GcnCache]
-    head0: list[GcnCache]
-    head1: list[GcnCache]
-    perm: np.ndarray
-    h_shared0: np.ndarray  # extractor output on the original view
-
-
 def forward_ssl(
-    graph: PropGraph,
-    params: TardParams,
-    rng: np.random.Generator | None = None,
-    perm: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SslCache]:
-    """Embeddings of the original view and a feature-shuffled view.
+    shared_h: np.ndarray, graph: PropGraph, params: TardParams, perm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[list[GcnCache], ...]]:
+    """SSL-head embeddings of the original view and a feature-shuffled view.
 
-    The corrupted view keeps the adjacency and permutes feature rows by
-    ``perm`` (drawn from ``rng`` when not given). Returns (h0, h1, g0, cache)
-    where g0 is the mean readout of h0.
+    ``shared_h`` is the extractor output on the original view. The corrupted
+    view keeps the adjacency, permutes feature rows by ``perm`` and runs
+    through the extractor here. Returns (h0, h1, g0, caches) where g0 is the
+    mean readout of h0 and caches holds the original-view head, shuffled-view
+    head and shuffled-view extractor caches, in that order.
     """
-    if perm is None:
-        if rng is None:
-            raise ValueError("forward_ssl needs either rng or perm")
-        perm = rng.permutation(graph.num_nodes)
-    perm = np.asarray(perm, dtype=np.intp)
-    acts = _ssl_activations(params)
-    h_sh0, shared0 = forward_shared(graph, params)
-    x1 = graph.features[perm]
+    acts = ["relu"] * (len(params.theta_s) - 1) + ["identity"]
+    x1 = graph.features[np.asarray(perm, dtype=np.intp)]
     h_sh1, shared1 = _run_stack(
         graph.adj_norm, x1, params.theta_e, ["relu"] * len(params.theta_e)
     )
-    h0, head0 = _run_stack(graph.adj_norm, h_sh0, params.theta_s, acts)
+    h0, head0 = _run_stack(graph.adj_norm, shared_h, params.theta_s, acts)
     h1, head1 = _run_stack(graph.adj_norm, h_sh1, params.theta_s, acts)
-    g0 = mean_readout(h0)
-    cache = SslCache(
-        shared0=shared0,
-        shared1=shared1,
-        head0=head0,
-        head1=head1,
-        perm=perm,
-        h_shared0=h_sh0,
-    )
-    return h0, h1, g0, cache
+    return h0, h1, mean_readout(h0), (head0, head1, shared1)
 
 
-def ssl_loss(
+@dataclass
+class Losses:
+    """Unweighted values of the objective terms that were computed."""
+
+    l_m: float | None = None
+    l_s: float | None = None
+    l_c: float | None = None
+
+
+def objective(
     graph: PropGraph,
     params: TardParams,
-    rng: np.random.Generator | None = None,
+    *,
+    label: int | None = None,
     perm: np.ndarray | None = None,
-    grad_scale: float = 1.0,
-) -> float:
-    """Contrastive loss over both views; accumulates theta_e and theta_s
-    gradients (scaled). theta_m is untouched."""
-    h0, h1, g0, cache = forward_ssl(graph, params, rng=rng, perm=perm)
-    loss, grad_h0, grad_h1, grad_g0 = contrastive_loss(h0, h1, g0)
-    # g0 = mean(h0), so the readout gradient folds back into h0.
-    grad_h0 = grad_h0 + mean_readout_backward(grad_g0, h0.shape[0])
-    grad_sh0 = _backward_stack(cache.head0, params.theta_s, grad_h0, grad_scale)
-    grad_sh1 = _backward_stack(cache.head1, params.theta_s, grad_h1, grad_scale)
-    _backward_stack(cache.shared0, params.theta_e, grad_sh0, grad_scale)
-    _backward_stack(cache.shared1, params.theta_e, grad_sh1, grad_scale)
-    return loss
+    stats: EmbeddingStats | None = None,
+    w_m: float = 1.0,
+    w_s: float = 1.0,
+    w_c: float = 1.0,
+    grad: bool = True,
+) -> Losses:
+    """The Y-structure objective w_m*L_m + w_s*L_s + w_c*L_c on one graph.
 
+    A term is computed when its input is given: ``label`` for the supervised
+    cross-entropy L_m, a corruption ``perm`` for the contrastive L_s, and
+    training-side ``stats`` for the alignment penalty L_c on the extractor
+    output. The extractor runs once on the original view and all terms share
+    that output. With ``grad`` the weighted gradient accumulates into
+    ``Parameter.grad``; each weight scales the upstream gradient of its own
+    term. L_m reaches theta_e and theta_m, L_s reaches theta_e and theta_s,
+    L_c reaches theta_e only and adds nothing when w_c = 0 (its value is
+    still reported).
 
-def ssl_loss_value(
-    graph: PropGraph, params: TardParams, perm: np.ndarray
-) -> float:
-    """Contrastive loss only, no gradient accumulation."""
-    h0, h1, g0, _ = forward_ssl(graph, params, perm=perm)
-    loss, _, _, _ = contrastive_loss(h0, h1, g0)
-    return loss
+    Extractor backward passes run in a fixed order: main branch, original
+    view (SSL upstream plus the penalty), shuffled view.
+    """
+    h, sh_caches = forward_shared(graph, params)
+    out = Losses()
+    if label is not None:
+        c = params.dims.num_classes
+        if not 0 <= label < c:
+            raise ValueError(f"label {label} outside [0, {c})")
+        _, cache = forward_main(h, graph, params)
+        y = np.zeros((1, c))
+        y[0, label] = 1.0
+        out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], y)
+        if grad:
+            grad_logits = w_m * grad_logits[0]
+            params.theta_m_out_w.grad += np.outer(cache.g, grad_logits)
+            params.theta_m_out_b.grad += grad_logits[None, :]
+            grad_g = params.theta_m_out_w.value @ grad_logits
+            grad_h = mean_readout_backward(grad_g, cache.num_nodes)
+            grad_h = _backward_stack(cache.gcn_caches, params.theta_m_gcn, grad_h)
+            _backward_stack(sh_caches, params.theta_e, grad_h)
 
-
-def main_loss_value(
-    graph: PropGraph, label: int, params: TardParams
-) -> tuple[float, np.ndarray]:
-    """Supervised cross-entropy without gradient accumulation."""
-    c = params.dims.num_classes
-    if not 0 <= label < c:
-        raise ValueError(f"label {label} outside [0, {c})")
-    shared_h, _ = forward_shared(graph, params)
-    probs, cache = forward_main(shared_h, graph, params)
-    y = np.zeros((1, c))
-    y[0, label] = 1.0
-    loss, _ = softmax_cross_entropy(cache.logits[None, :], y)
-    return loss, probs
+    grad_h0 = grad_h1 = None  # upstream at the extractor output, per view
+    if perm is not None:
+        h0, h1, g0, (head0, head1, sh1_caches) = forward_ssl(h, graph, params, perm)
+        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0)
+        if grad:
+            # g0 = mean(h0), so the readout gradient folds back into h0.
+            g_h0 = g_h0 + mean_readout_backward(g_g0, h0.shape[0])
+            grad_h0 = _backward_stack(head0, params.theta_s, w_s * g_h0)
+            grad_h1 = _backward_stack(head1, params.theta_s, w_s * g_h1)
+    if stats is not None:
+        out.l_c, grad_c, _ = constraint_loss(stats, h)
+        if grad and w_c != 0.0:
+            grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
+    if grad_h0 is not None:
+        _backward_stack(sh_caches, params.theta_e, grad_h0)
+    if grad_h1 is not None:
+        _backward_stack(sh1_caches, params.theta_e, grad_h1)
+    return out
 
 
 @dataclass
@@ -402,35 +354,6 @@ def constraint_loss(
     return value, grad, stats
 
 
-def adapt_losses(
-    graph: PropGraph,
-    params: TardParams,
-    train_stats: EmbeddingStats,
-    alpha2: float,
-    perm: np.ndarray,
-    grad_scale: float = 1.0,
-) -> tuple[float, float, EmbeddingStats]:
-    """One adaptation objective evaluation: L_s plus the alignment penalty.
-
-    Accumulates d(L_s + alpha2 * L_c)/dtheta into theta_e and theta_s (scaled
-    by grad_scale). The penalty acts on the extractor output of the original
-    view, so its gradient enters through theta_e only. Returns
-    (ssl loss, penalty value, test-side stats). The penalty value is reported
-    even when alpha2 = 0, where it does not contribute gradients.
-    """
-    h0, h1, g0, cache = forward_ssl(graph, params, perm=perm)
-    ls, grad_h0, grad_h1, grad_g0 = contrastive_loss(h0, h1, g0)
-    grad_h0 = grad_h0 + mean_readout_backward(grad_g0, h0.shape[0])
-    grad_sh0 = _backward_stack(cache.head0, params.theta_s, grad_h0, grad_scale)
-    grad_sh1 = _backward_stack(cache.head1, params.theta_s, grad_h1, grad_scale)
-    lc, grad_constraint, stats_t = constraint_loss(train_stats, cache.h_shared0)
-    if alpha2 != 0.0:
-        grad_sh0 = grad_sh0 + alpha2 * grad_constraint
-    _backward_stack(cache.shared0, params.theta_e, grad_sh0, grad_scale)
-    _backward_stack(cache.shared1, params.theta_e, grad_sh1, grad_scale)
-    return ls, lc, stats_t
-
-
 def snapshot(params: TardParams) -> TardParams:
     """Deep value copy with zeroed gradients; safe to stash and share."""
     return TardParams(
@@ -443,20 +366,21 @@ def snapshot(params: TardParams) -> TardParams:
     )
 
 
-def restore(snap: TardParams) -> TardParams:
-    """Fresh working copy of a snapshot (bit-identical values)."""
-    return snapshot(snap)
-
-
 # --- serialization ----------------------------------------------------------
 
 def _matrix_record(p: Parameter) -> dict:
     return {"shape": list(p.value.shape), "data": p.value.reshape(-1).tolist()}
 
 
-def _matrix_from_record(rec: dict) -> Parameter:
-    value = np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-    return Parameter(value)
+def _checked_array(name: str, data: object, shape: tuple[int, ...]) -> np.ndarray:
+    """A checkpoint entry as a float64 array of ``shape``; a wrong size or a
+    non-finite value raises ValueError naming the entry."""
+    value = np.array(data, dtype=np.float64)
+    if value.size != int(np.prod(shape)):
+        raise ValueError(f"checkpoint entry {name!r} does not fit shape {shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"checkpoint entry {name!r} has non-finite values")
+    return value.reshape(shape)
 
 
 def params_to_record(params: TardParams) -> dict:
@@ -473,18 +397,28 @@ def params_from_record(rec: dict) -> TardParams:
     dims = ModelDims(**rec["dims"])
     mats = rec["matrices"]
 
-    def take(name: str) -> Parameter:
+    h, c = dims.d_hidden, dims.num_classes
+
+    def take(name: str, shape: tuple[int, int]) -> Parameter:
         if name not in mats:
             raise ValueError(f"checkpoint is missing matrix {name!r}")
-        return _matrix_from_record(mats[name])
+        if tuple(mats[name]["shape"]) != shape:
+            raise ValueError(
+                f"checkpoint matrix {name!r} has shape {tuple(mats[name]['shape'])}, "
+                f"dims give {shape}"
+            )
+        return Parameter(_checked_array(name, mats[name]["data"], shape))
 
     return TardParams(
         dims=dims,
-        theta_e=[take(f"theta_e.{i}") for i in range(dims.shared_layers)],
-        theta_m_gcn=[take(f"theta_m.{i}") for i in range(dims.main_layers)],
-        theta_m_out_w=take("theta_m.out_w"),
-        theta_m_out_b=take("theta_m.out_b"),
-        theta_s=[take(f"theta_s.{i}") for i in range(dims.ssl_layers)],
+        theta_e=[
+            take(f"theta_e.{i}", (dims.d_in if i == 0 else h, h))
+            for i in range(dims.shared_layers)
+        ],
+        theta_m_gcn=[take(f"theta_m.{i}", (h, h)) for i in range(dims.main_layers)],
+        theta_m_out_w=take("theta_m.out_w", (h, c)),
+        theta_m_out_b=take("theta_m.out_b", (1, c)),
+        theta_s=[take(f"theta_s.{i}", (h, h)) for i in range(dims.ssl_layers)],
     )
 
 
@@ -505,8 +439,10 @@ def stats_to_record(stats: EmbeddingStats) -> dict:
 
 
 def stats_from_record(rec: dict) -> EmbeddingStats:
+    """Training-side stats from a checkpoint; rejects non-finite entries."""
+    d = len(rec["mu"])
     return EmbeddingStats(
-        mu=np.array(rec["mu"], dtype=np.float64),
-        eta=np.array(rec["eta"], dtype=np.float64),
+        mu=_checked_array("train_stats.mu", rec["mu"], (d,)),
+        eta=_checked_array("train_stats.eta", rec["eta"], (d, d)),
         count=int(rec["count"]),
     )

@@ -5,23 +5,20 @@ Training minimizes L_m + alpha1 * L_s over all parameter groups, one graph
 per optimizer step. Adaptation minimizes L_s + alpha2 * L_c on a single test
 graph, updating only the extractor and the SSL head; the classification head
 stays bit-identical. Evaluation runs either episodically (parameters restored
-from the trained snapshot before every event; order-invariant and
-parallelizable) or online (adapted parameters carry over; order-sensitive by
-design).
+from the trained snapshot before every event; order-invariant) or online
+(adapted parameters carry over; order-sensitive by design).
 
 Determinism: a training run is a pure function of (dataset, config). The
 config seed feeds three separate streams (init / epoch order / augmentation),
 and each evaluated event gets its own generator derived from (seed, event
-id), so episodic results do not depend on event order or thread count.
+id), so episodic results do not depend on event order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -37,19 +34,14 @@ from .model import (
     EmbeddingStats,
     ModelDims,
     TardParams,
-    adapt_losses,
     compute_embedding_stats,
-    constraint_value,
-    embedding_stats,
     forward_main,
     forward_shared,
     init_params,
-    main_loss,
+    objective,
     params_from_record,
     params_to_record,
-    restore,
-    ssl_loss,
-    ssl_loss_value,
+    snapshot,
     stats_from_record,
     stats_to_record,
 )
@@ -60,8 +52,6 @@ ONLINE = "online"
 ADAPTATION_MODES = (EPISODIC, ONLINE)
 
 CHECKPOINT_FORMAT = "tard-checkpoint-v1"
-
-THREADS_ENV_VAR = "TARD_THREADS"
 
 
 @dataclass(frozen=True)
@@ -259,19 +249,22 @@ def train_phase(
         sum_ls = 0.0
         for idx in order:
             params.zero_grads(opt_groups)
-            lm, _ = main_loss(graphs[idx], labels[idx], params)
-            sum_lm += lm
+            perm = None
             if config.alpha1 != 0.0:
-                sum_ls += ssl_loss(
-                    graphs[idx], params, rng=aug_rng, grad_scale=config.alpha1
-                )
+                perm = aug_rng.permutation(graphs[idx].num_nodes)
+            losses = objective(
+                graphs[idx], params, label=labels[idx], perm=perm, w_s=config.alpha1
+            )
+            sum_lm += losses.l_m
+            if perm is not None:
+                sum_ls += losses.l_s
             adam_step(named, opt)
         mean_lm = sum_lm / len(graphs)
         mean_ls = sum_ls / len(graphs)
-        objective = mean_lm + config.alpha1 * mean_ls
-        log.append({"epoch": epoch, "l_m": mean_lm, "l_s": mean_ls, "objective": objective})
-        if objective < best - config.min_delta:
-            best = objective
+        total = mean_lm + config.alpha1 * mean_ls
+        log.append({"epoch": epoch, "l_m": mean_lm, "l_s": mean_ls, "objective": total})
+        if total < best - config.min_delta:
+            best = total
             stale = 0
         else:
             stale += 1
@@ -313,30 +306,24 @@ def ttt_adapt(
     before and after; each step then draws its own corruption.
     """
     cfg = model.config
-    work = restore(params if params is not None else model.params)
+    work = snapshot(params if params is not None else model.params)
     probe_perm = rng.permutation(graph.num_nodes)
-
-    ls_pre = ssl_loss_value(graph, work, probe_perm)
-    lc_pre = constraint_value(
-        model.train_stats, embedding_stats(forward_shared(graph, work)[0])
-    )
+    stats = model.train_stats
+    pre = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
 
     named = work.named_parameters((GROUP_SHARED, GROUP_SSL))
     opt = AdamState(lr=cfg.ttt_lr)
     for _ in range(cfg.ttt_steps):
         perm = rng.permutation(graph.num_nodes)
         work.zero_grads((GROUP_SHARED, GROUP_SSL))
-        adapt_losses(graph, work, model.train_stats, cfg.alpha2, perm)
+        objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
         adam_step(named, opt)
         for name, p in named:
             assert_all_finite(name, p.value)
 
-    ls_post = ssl_loss_value(graph, work, probe_perm)
-    lc_post = constraint_value(
-        model.train_stats, embedding_stats(forward_shared(graph, work)[0])
-    )
+    post = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
     trace = AdaptTrace(
-        ls_pre=ls_pre, ls_post=ls_post, lc_pre=lc_pre, lc_post=lc_post, steps=cfg.ttt_steps
+        ls_pre=pre.l_s, ls_post=post.l_s, lc_pre=pre.l_c, lc_post=post.l_c, steps=cfg.ttt_steps
     )
     return work, trace
 
@@ -390,42 +377,23 @@ def _eval_one(
     return record, adapted
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for episodic evaluation; TARD_THREADS caps/default it."""
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return max(1, workers)
-
-
 def evaluate_episodic(
     test_set: Sequence[PropagationEvent],
     model: TrainedModel,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> list[EventRecord]:
     """Adapt-and-predict each event independently from the trained snapshot.
 
     Every event's randomness comes from (seed, event id), so records are a
-    pure function of (model, event, seed): reordering the test set or
-    changing the worker count cannot change any record.
+    pure function of (model, event, seed): reordering or splitting the test
+    set cannot change any record.
     """
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
     if seed is None:
         seed = model.config.seed
-    n_workers = min(resolve_workers(workers), len(test_set))
-    if n_workers <= 1:
-        return [_eval_one(e, model, seed)[0] for e in test_set]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return [
-            rec
-            for rec, _ in pool.map(lambda e: _eval_one(e, model, seed), test_set)
-        ]
+    return [_eval_one(e, model, seed)[0] for e in test_set]
 
 
 def evaluate_online(
@@ -453,12 +421,11 @@ def evaluate(
     test_set: Sequence[PropagationEvent],
     model: TrainedModel,
     seed: int | None = None,
-    workers: int | None = None,
 ) -> list[EventRecord]:
     """Dispatch on the configured adaptation mode."""
     if model.config.adaptation_mode == ONLINE:
         return evaluate_online(test_set, model, seed=seed)
-    return evaluate_episodic(test_set, model, seed=seed, workers=workers)
+    return evaluate_episodic(test_set, model, seed=seed)
 
 
 # --- checkpoint I/O ---------------------------------------------------------
@@ -480,17 +447,28 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
+    """Read and validate a checkpoint; any defect raises ValueError naming it."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
-    if rec.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {rec.get('format')!r} in {path}"
+    fmt = rec.get("format") if isinstance(rec, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {fmt!r} in {path}")
+    try:
+        model = TrainedModel(
+            params=params_from_record(rec["params"]),
+            train_stats=stats_from_record(rec["train_stats"]),
+            config=TrainConfig(**rec["config"]),
+            training_log=list(rec["training_log"]),
         )
-    return TrainedModel(
-        params=params_from_record(rec["params"]),
-        train_stats=stats_from_record(rec["train_stats"]),
-        config=TrainConfig(**rec["config"]),
-        training_log=list(rec["training_log"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} is missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:  # unknown or missing fields of config or dims
+        raise ValueError(f"invalid checkpoint {path}: {exc}") from exc
+    d = model.params.dims.d_hidden
+    if model.train_stats.mu.shape != (d,):
+        raise ValueError(
+            f"checkpoint train_stats has dim {model.train_stats.mu.shape[0]}, dims give {d}"
+        )
+    return model

@@ -144,7 +144,6 @@ def run_ablation(
     train_set: Sequence[PropagationEvent],
     test_set: Sequence[PropagationEvent],
     config: TrainConfig,
-    workers: int | None = None,
 ) -> AblationResult:
     """Train once, evaluate three adaptation variants on the same checkpoint."""
     model = train_phase(train_set, config)
@@ -156,7 +155,7 @@ def run_ablation(
     metrics: dict[str, MetricsReport] = {}
     records: dict[str, list[EventRecord]] = {}
     for name, variant in variants.items():
-        recs = evaluate(test_set, variant, workers=workers)
+        recs = evaluate(test_set, variant)
         records[name] = recs
         metrics[name] = compute_metrics(
             recs,
@@ -171,7 +170,6 @@ def run_sensitivity(
     test_set: Sequence[PropagationEvent],
     base_config: TrainConfig,
     which: str,
-    workers: int | None = None,
 ) -> list[tuple[float, MetricsReport]]:
     """Evaluate the nine-point grid for alpha1 or alpha2.
 
@@ -187,7 +185,7 @@ def run_sensitivity(
         for value in ALPHA_GRID:
             cfg = replace(base_config, alpha1=value)
             model = train_phase(train_set, cfg)
-            recs = evaluate(test_set, model, workers=workers)
+            recs = evaluate(test_set, model)
             rows.append(
                 (value, compute_metrics(recs, fingerprint=config_fingerprint(cfg), seed=cfg.seed))
             )
@@ -195,7 +193,7 @@ def run_sensitivity(
         model = train_phase(train_set, base_config)
         for value in ALPHA_GRID:
             variant = with_config(model, alpha2=value)
-            recs = evaluate(test_set, variant, workers=workers)
+            recs = evaluate(test_set, variant)
             rows.append(
                 (
                     value,

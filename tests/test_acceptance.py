@@ -16,14 +16,12 @@ from tard.graphs import PropagationEvent, to_prop_graph
 from tard.model import (
     GROUP_MAIN,
     ModelDims,
-    adapt_losses,
     compute_embedding_stats,
     constraint_value,
     embedding_stats,
     group_bytes,
     init_params,
-    main_loss,
-    ssl_loss,
+    objective,
 )
 from tard.nn import AdamState, adam_step, finite_difference_check
 from tard.pipeline import (
@@ -67,14 +65,13 @@ def test_criterion_1_gradient_correctness():
 
         def joint_loss():
             params.zero_grads()
-            lm, _ = main_loss(graph, label, params)
-            ls = ssl_loss(graph, params, perm=perm, grad_scale=alpha1)
-            return lm + alpha1 * ls, {n_: p.grad.copy() for n_, p in named}
+            out = objective(graph, params, label=label, perm=perm, w_s=alpha1)
+            return out.l_m + alpha1 * out.l_s, {n_: p.grad.copy() for n_, p in named}
 
         def adapt_loss():
             params.zero_grads()
-            ls, lc, _ = adapt_losses(graph, params, train_stats, alpha2, perm)
-            return ls + alpha2 * lc, {n_: p.grad.copy() for n_, p in named}
+            out = objective(graph, params, perm=perm, stats=train_stats, w_c=alpha2)
+            return out.l_s + alpha2 * out.l_c, {n_: p.grad.copy() for n_, p in named}
 
         for loss_fn in (joint_loss, adapt_loss):
             if loss_fn is adapt_loss:
@@ -125,8 +122,8 @@ def test_criterion_3_loss_anchors():
     for _, p in params.named_parameters():
         p.value.fill(0.0)
     graph = make_random_graph(rng, 6, 4)
-    ls = ssl_loss(graph, params, perm=np.arange(6))
-    lm, _ = main_loss(graph, 1, params)
+    ls = objective(graph, params, perm=np.arange(6)).l_s
+    lm = objective(graph, params, label=1).l_m
     stats = embedding_stats(rng.standard_normal((8, 5)))
     lc = constraint_value(stats, stats)
 
@@ -160,7 +157,7 @@ def test_criterion_4_degeneracy_equalities():
     for _ in range(cfg.epochs):
         for idx in order_rng.permutation(len(graphs)):
             oracle.zero_grads(("e", "m"))
-            main_loss(graphs[idx], events[idx].label, oracle)
+            objective(graphs[idx], oracle, label=events[idx].label)
             adam_step(named, opt)
     for g in ("e", "m", "s"):
         train_match &= group_bytes(model.params, g) == group_bytes(oracle, g)

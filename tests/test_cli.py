@@ -49,6 +49,11 @@ def _file_bytes(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def _transpose_theta_e0(rec: dict) -> None:
+    m = rec["params"]["matrices"]["theta_e.0"]
+    m["shape"] = m["shape"][::-1]
+
+
 class TestGen:
     def test_writes_four_files_with_configured_counts(self, workdir):
         data = workdir["data"]
@@ -224,6 +229,36 @@ class TestEval:
         )
         assert code == 2
         assert "feature dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda rec: rec["config"].update(bogus=1), "bogus"),
+            (lambda rec: rec["params"]["dims"].update(extra_layers=2), "extra_layers"),
+            (lambda rec: rec.pop("train_stats"), "train_stats"),
+            (_transpose_theta_e0, "theta_e.0"),
+            (lambda rec: rec["train_stats"].update(mu=[0.0], eta=[[0.0]]), "train_stats"),
+        ],
+        ids=["config-key", "dims-key", "missing-key", "transposed-matrix", "stats-dim"],
+    )
+    def test_malformed_checkpoint_exits_2_naming_it(
+        self, workdir, tmp_path, capsys, corrupt, named
+    ):
+        rec = json.loads(workdir["checkpoint"].read_text())
+        corrupt(rec)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rec))
+        code = main(
+            [
+                "eval",
+                str(bad),
+                str(workdir["data"] / "test.jsonl"),
+                "--out",
+                str(tmp_path / "evb"),
+            ]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestAblateAndSweep:

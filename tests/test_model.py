@@ -1,5 +1,6 @@
-"""Y-structure model: shared extractor, two heads, embedding statistics,
-alignment penalty, parameter snapshots and serialization."""
+"""Y-structure model: shared extractor, two heads, the joint objective,
+embedding statistics, alignment penalty, parameter snapshots and
+serialization."""
 
 import numpy as np
 import numpy.testing as npt
@@ -14,8 +15,8 @@ from tard.model import (
     GROUP_SHARED,
     GROUP_SSL,
     EmbeddingStats,
+    Losses,
     ModelDims,
-    adapt_losses,
     compute_embedding_stats,
     constraint_loss,
     constraint_value,
@@ -25,14 +26,10 @@ from tard.model import (
     forward_ssl,
     group_bytes,
     init_params,
-    main_loss,
-    main_loss_value,
+    objective,
     params_from_record,
     params_to_record,
-    restore,
     snapshot,
-    ssl_loss,
-    ssl_loss_value,
     stats_from_record,
     stats_to_record,
 )
@@ -52,6 +49,14 @@ def _zeroed(params):
     for _, p in params.named_parameters():
         p.value.fill(0.0)
     return params
+
+
+def _ssl_views(graph, params, perm):
+    return forward_ssl(forward_shared(graph, params)[0], graph, params, perm)
+
+
+def _grads(named):
+    return {name: p.grad.copy() for name, p in named}
 
 
 class TestDimsAndInit:
@@ -165,21 +170,17 @@ class TestForwardMain:
 class TestForwardSsl:
     def test_single_node_views_identical(self, small_params, rng):
         g = make_random_graph(rng, 1, 4)
-        h0, h1, g0, _ = forward_ssl(g, small_params, rng=rng)
+        h0, h1, g0, _ = _ssl_views(g, small_params, np.arange(1))
         npt.assert_array_equal(h0, h1)
         npt.assert_allclose(g0, h0[0], atol=1e-15)
 
     def test_fixed_perm_is_deterministic(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
         perm = np.array([2, 0, 4, 1, 3])
-        a = forward_ssl(g, small_params, perm=perm)
-        b = forward_ssl(g, small_params, perm=perm)
+        a = _ssl_views(g, small_params, perm)
+        b = _ssl_views(g, small_params, perm)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
-
-    def test_requires_rng_or_perm(self, small_params, rng):
-        with pytest.raises(ValueError):
-            forward_ssl(make_random_graph(rng, 3, 4), small_params)
 
     def test_constant_features_make_views_identical(self, small_params, rng):
         # Shuffling identical feature rows is a no-op, so the corrupted
@@ -189,7 +190,7 @@ class TestForwardSsl:
             adj_norm=make_random_graph(rng, 4, 1).adj_norm,
             features=np.tile([[0.3, -1.2, 0.0, 2.0]], (4, 1)),
         )
-        h0, h1, _, _ = forward_ssl(g, small_params, rng=rng)
+        h0, h1, _, _ = _ssl_views(g, small_params, rng.permutation(4))
         npt.assert_array_equal(h0, h1)
 
 
@@ -197,13 +198,13 @@ class TestSslLoss:
     def test_zero_weights_give_ln2(self, small_params, rng):
         _zeroed(small_params)
         g = make_random_graph(rng, 6, 4)
-        loss = ssl_loss(g, small_params, perm=np.arange(6))
+        loss = objective(g, small_params, perm=np.arange(6)).l_s
         npt.assert_allclose(loss, np.log(2.0), atol=1e-9)
 
     def test_classification_head_gradients_stay_zero(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
         small_params.zero_grads()
-        ssl_loss(g, small_params, rng=rng)
+        objective(g, small_params, perm=rng.permutation(5))
         for name, p in small_params.named_parameters(groups=(GROUP_MAIN,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
         # and something nonzero did flow into the other groups
@@ -221,8 +222,7 @@ class TestSslLoss:
 
         def loss_fn():
             params.zero_grads()
-            loss = ssl_loss(g, params, perm=perm)
-            return loss, {name: p.grad.copy() for name, p in named}
+            return objective(g, params, perm=perm).l_s, _grads(named)
 
         report = finite_difference_check(loss_fn, named)
         assert report.ok, f"max rel error {report.max_rel_error}"
@@ -231,8 +231,10 @@ class TestSslLoss:
         g = make_random_graph(rng, 5, 4)
         perm = np.arange(5)[::-1].copy()
         small_params.zero_grads()
-        v = ssl_loss_value(g, small_params, perm)
-        full = ssl_loss(g, small_params, perm=perm)
+        v = objective(g, small_params, perm=perm, grad=False).l_s
+        for name, p in small_params.named_parameters():
+            npt.assert_array_equal(p.grad, 0.0, err_msg=name)
+        full = objective(g, small_params, perm=perm).l_s
         assert v == full
 
 
@@ -240,20 +242,19 @@ class TestMainLoss:
     def test_zero_weights_give_ln2(self, small_params, rng):
         _zeroed(small_params)
         g = make_random_graph(rng, 4, 4)
-        loss, probs = main_loss(g, 1, small_params)
+        loss = objective(g, small_params, label=1).l_m
         npt.assert_allclose(loss, np.log(2.0), atol=1e-9)
-        npt.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_ssl_head_gradients_stay_zero(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
         small_params.zero_grads()
-        main_loss(g, 0, small_params)
+        objective(g, small_params, label=0)
         for name, p in small_params.named_parameters(groups=(GROUP_SSL,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
 
     def test_rejects_out_of_range_label(self, small_params, rng):
         with pytest.raises(ValueError):
-            main_loss(make_random_graph(rng, 3, 4), 2, small_params)
+            objective(make_random_graph(rng, 3, 4), small_params, label=2)
 
     def test_gradients_match_finite_difference(self, rng):
         params = init_params(ModelDims(d_in=3, d_hidden=4, main_layers=2), seed=8)
@@ -262,18 +263,62 @@ class TestMainLoss:
 
         def loss_fn():
             params.zero_grads()
-            loss, _ = main_loss(g, 1, params)
-            return loss, {name: p.grad.copy() for name, p in named}
+            return objective(g, params, label=1).l_m, _grads(named)
 
         report = finite_difference_check(loss_fn, named)
         assert report.ok, f"max rel error {report.max_rel_error}"
 
     def test_value_helper_matches(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
-        loss_a, probs_a = main_loss_value(g, 1, small_params)
-        loss_b, probs_b = main_loss(g, 1, small_params)
+        loss_a = objective(g, small_params, label=1, grad=False).l_m
+        loss_b = objective(g, small_params, label=1).l_m
         assert loss_a == loss_b
-        npt.assert_array_equal(probs_a, probs_b)
+        probs, _ = forward_main(forward_shared(g, small_params)[0], g, small_params)
+        npt.assert_allclose(loss_a, -np.log(probs[1]), rtol=1e-12)
+
+
+class TestObjective:
+    def _setup(self, rng):
+        dims = ModelDims(
+            d_in=3, d_hidden=4, shared_layers=2, main_layers=2, ssl_layers=2
+        )
+        params = init_params(dims, seed=76)  # no layer dead on this graph
+        g = make_random_graph(rng, 6, 3)
+        frozen = init_params(dims, seed=42)
+        stats = compute_embedding_stats(
+            [make_random_graph(rng, n, 3) for n in (4, 7)], frozen
+        )
+        perm = np.random.default_rng(5).permutation(6)
+        return params, g, stats, perm
+
+    def test_all_three_terms_match_finite_difference(self, rng):
+        params, g, stats, perm = self._setup(rng)
+        w = {"w_m": 0.6, "w_s": 0.7, "w_c": 0.25}
+        named = params.named_parameters()
+
+        def loss_fn():
+            params.zero_grads()
+            out = objective(g, params, label=1, perm=perm, stats=stats, **w)
+            total = w["w_m"] * out.l_m + w["w_s"] * out.l_s + w["w_c"] * out.l_c
+            return total, _grads(named)
+
+        report = finite_difference_check(loss_fn, named)
+        assert report.ok, f"max rel error {report.max_rel_error}"
+        assert all(np.any(g != 0.0) for g in loss_fn()[1].values())
+
+    def test_no_grad_probe_matches_and_leaves_grads_zero(self, rng):
+        params, g, stats, perm = self._setup(rng)
+        kwargs = {"label": 0, "perm": perm, "stats": stats, "w_s": 0.5, "w_c": 0.3}
+        params.zero_grads()
+        probe = objective(g, params, grad=False, **kwargs)
+        for name, p in params.named_parameters():
+            npt.assert_array_equal(p.grad, 0.0, err_msg=name)
+        full = objective(g, params, **kwargs)
+        assert probe == full
+
+    def test_absent_terms_are_not_computed(self, small_params, rng):
+        out = objective(make_random_graph(rng, 4, 4), small_params, grad=False)
+        assert out == Losses()
 
 
 class TestEmbeddingStats:
@@ -360,18 +405,18 @@ class TestAdaptLosses:
     def test_alpha2_zero_matches_pure_ssl_gradient(self, rng):
         dims = ModelDims(d_in=3, d_hidden=4)
         params_a = init_params(dims, seed=21)
-        params_b = restore(params_a)
+        params_b = snapshot(params_a)
         g = make_random_graph(rng, 6, 3)
         train_stats = compute_embedding_stats([g], params_a)
         perm = np.random.default_rng(1).permutation(6)
 
         params_a.zero_grads()
-        ls_a, lc, _ = adapt_losses(g, params_a, train_stats, 0.0, perm)
+        out = objective(g, params_a, perm=perm, stats=train_stats, w_c=0.0)
         params_b.zero_grads()
-        ls_b = ssl_loss(g, params_b, perm=perm)
+        ls_b = objective(g, params_b, perm=perm).l_s
 
-        assert ls_a == ls_b
-        assert lc >= 0.0  # reported even though it contributed no gradient
+        assert out.l_s == ls_b
+        assert out.l_c >= 0.0  # reported even though it contributed no gradient
         for (na, pa), (_, pb) in zip(
             params_a.named_parameters(), params_b.named_parameters()
         ):
@@ -390,8 +435,8 @@ class TestAdaptLosses:
 
         def loss_fn():
             params.zero_grads()
-            ls, lc, _ = adapt_losses(g, params, train_stats, alpha2, perm)
-            return ls + alpha2 * lc, {n: p.grad.copy() for n, p in named}
+            out = objective(g, params, perm=perm, stats=train_stats, w_c=alpha2)
+            return out.l_s + alpha2 * out.l_c, _grads(named)
 
         report = finite_difference_check(loss_fn, named)
         assert report.ok, f"max rel error {report.max_rel_error}"
@@ -400,7 +445,7 @@ class TestAdaptLosses:
         g = make_random_graph(rng, 4, 4)
         stats = compute_embedding_stats([g], small_params)
         small_params.zero_grads()
-        adapt_losses(g, small_params, stats, 0.5, np.arange(4))
+        objective(g, small_params, perm=np.arange(4), stats=stats, w_c=0.5)
         for name, p in small_params.named_parameters(groups=(GROUP_MAIN,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
 
@@ -413,10 +458,11 @@ class TestSnapshotsAndSerialization:
         assert group_bytes(snap, GROUP_SHARED) == before
 
     def test_restore_bit_identical(self, small_params):
+        # Restoring a stash is taking a snapshot of it.
         snap = snapshot(small_params)
         small_params.theta_e[0].value += 3.0
         small_params.theta_m_out_w.value *= 2.0
-        fresh = restore(snap)
+        fresh = snapshot(snap)
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(fresh, g) == group_bytes(snap, g)
 
@@ -432,12 +478,12 @@ class TestSnapshotsAndSerialization:
         state = AdamState(lr=1e-2)
         for _ in range(3):
             small_params.zero_grads()
-            main_loss(graph, 0, small_params)
+            objective(graph, small_params, label=0)
             adam_step(small_params.named_parameters(), state)
         assert group_bytes(small_params, GROUP_SHARED) != group_bytes(
             snap, GROUP_SHARED
         )
-        fresh = restore(snap)
+        fresh = snapshot(snap)
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(fresh, g) == group_bytes(snap, g)
 

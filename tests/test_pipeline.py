@@ -17,7 +17,7 @@ from tard.model import (
     ModelDims,
     group_bytes,
     init_params,
-    main_loss,
+    objective,
 )
 from tard.nn import AdamState, adam_step
 from tard.pipeline import (
@@ -30,7 +30,6 @@ from tard.pipeline import (
     event_rng,
     load_checkpoint,
     predict,
-    resolve_workers,
     save_checkpoint,
     train_phase,
     training_streams,
@@ -151,7 +150,7 @@ class TestTrainPhase:
         for _ in range(cfg.epochs):
             for idx in order_rng.permutation(len(graphs)):
                 params.zero_grads((GROUP_SHARED, GROUP_MAIN))
-                main_loss(graphs[idx], events[idx].label, params)
+                objective(graphs[idx], params, label=events[idx].label)
                 adam_step(named, opt)
 
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
@@ -235,22 +234,14 @@ class TestEpisodicEvaluation:
         rev = evaluate_episodic(list(reversed(events)), model)
         assert _strip_wall(fwd) == _strip_wall(list(reversed(rev)))
 
-    def test_thread_count_invariance(self, separable_model):
+    def test_single_event_calls_match_batch(self, separable_model):
+        """Each record is a pure function of (model, event, seed): evaluating
+        every event on its own reproduces the batch call."""
         model, _ = separable_model
         events = _events(n=5, dim=4, seed=6)
-        serial = evaluate_episodic(events, model, workers=1)
-        threaded = evaluate_episodic(events, model, workers=3)
-        assert _strip_wall(serial) == _strip_wall(threaded)
-
-    def test_env_var_controls_workers(self, monkeypatch):
-        monkeypatch.delenv("TARD_THREADS", raising=False)
-        assert resolve_workers() == 1
-        monkeypatch.setenv("TARD_THREADS", "4")
-        assert resolve_workers() == 4
-        monkeypatch.setenv("TARD_THREADS", "zero")
-        with pytest.raises(ValueError):
-            resolve_workers()
-        assert resolve_workers(2) == 2  # explicit argument wins
+        batch = evaluate_episodic(events, model)
+        alone = [evaluate_episodic([e], model)[0] for e in events]
+        assert _strip_wall(alone) == _strip_wall(batch)
 
     def test_event_rng_keyed_by_id_not_position(self):
         a = event_rng(3, "ev-x").standard_normal(4)
@@ -331,15 +322,38 @@ class TestCheckpoints:
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="format"):
-            load_checkpoint(path)
+        for payload in ('{"format": "something-else"}', "[]"):
+            path.write_text(payload)
+            with pytest.raises(ValueError, match="format"):
+                load_checkpoint(path)
 
     def test_rejects_unparseable_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {")
         with pytest.raises(ValueError, match="unreadable"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            ("train_stats.mu", ("train_stats", "mu", 0)),
+            ("train_stats.eta", ("train_stats", "eta", 1, 0)),
+            ("theta_e.0", ("params", "matrices", "theta_e.0", "data", 3)),
+            ("theta_m.out_b", ("params", "matrices", "theta_m.out_b", "data", 0)),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, separable_model, tmp_path, entry, path, bad):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        target = rec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=f"{entry}.*non-finite"):
+            load_checkpoint(ckpt)
 
     def test_with_config_shares_params(self, separable_model):
         model, _ = separable_model
