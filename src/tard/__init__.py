@@ -10,13 +10,10 @@ from .graphs import InvalidEventError, PropGraph, PropagationEvent, to_prop_grap
 from .datagen import DomainSpec, ShiftSpec, apply_shift, generate_domain, read_dataset, write_dataset
 from .model import EmbeddingStats, ModelDims, TardParams, init_params
 from .pipeline import (
-    AdaptTrace,
     EventRecord,
     TrainConfig,
     TrainedModel,
     evaluate,
-    evaluate_episodic,
-    evaluate_online,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -38,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_GRID",
-    "AdaptTrace",
     "DomainSpec",
     "EmbeddingStats",
     "EventRecord",
@@ -56,8 +52,6 @@ __all__ = [
     "compute_metrics",
     "emit_report",
     "evaluate",
-    "evaluate_episodic",
-    "evaluate_online",
     "generate_domain",
     "init_params",
     "load_checkpoint",

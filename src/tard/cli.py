@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -42,6 +44,25 @@ TEST_FILE = "test.jsonl"
 META_FILE = "meta.json"
 CHECKPOINT_FILE = "model.json"
 
+#: Flags that override a TrainConfig field: (argparse dest, field).
+TRAIN_FLAGS = (
+    ("seed", "seed"),
+    ("alpha1", "alpha1"),
+    ("alpha2", "alpha2"),
+    ("ttt_steps", "ttt_steps"),
+    ("ttt_lr", "ttt_lr"),
+    ("mode", "adaptation_mode"),
+)
+
+#: Config-file sections and the dataclass whose fields each may set.
+CONFIG_SECTIONS = {"domain": DomainSpec, "shift": ShiftSpec, "train": TrainConfig}
+CONFIG_TOP_LEVEL = {
+    "seed": int,
+    "val_events": int,
+    "test_events": int,
+    **dict.fromkeys(CONFIG_SECTIONS, dict),
+}
+
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -56,7 +77,36 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    _check_keys(path, "", data, CONFIG_TOP_LEVEL)
+    for section, cls in CONFIG_SECTIONS.items():
+        _check_keys(path, f"{section}.", data.get(section, {}), typing.get_type_hints(cls))
     return data
+
+
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the annotated type; JSON arrays fill
+    tuples, ints fill floats, and booleans are not numbers."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_keys(path: str, prefix: str, values: dict, hints: dict) -> None:
+    for key, value in values.items():
+        if key not in hints:
+            raise ValueError(f"config file {path}: unknown key {prefix + key!r}")
+        if not _fits(value, hints[key]):
+            raise ValueError(f"config file {path}: {prefix + key!r} has the wrong type: {value!r}")
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    values = {field: getattr(args, flag, None) for flag, field in TRAIN_FLAGS}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def _tupled(kw: dict, *keys: str) -> dict:
@@ -82,20 +132,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     shift_kw = _tupled(
         {**asdict(base.shift), **file_cfg.get("shift", {})}, "mean_translation"
     )
-    train_kw = {**asdict(base.train), **file_cfg.get("train", {})}
+    train_kw = {**asdict(base.train), **file_cfg.get("train", {}), **_flag_overrides(args)}
     if getattr(args, "seed", None) is not None:
         domain_kw["seed"] = args.seed
-        train_kw["seed"] = args.seed
-    for flag, field in (
-        ("alpha1", "alpha1"),
-        ("alpha2", "alpha2"),
-        ("ttt_steps", "ttt_steps"),
-        ("ttt_lr", "ttt_lr"),
-        ("mode", "adaptation_mode"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_kw[field] = value
 
     return ExperimentConfig(
         domain=DomainSpec(**domain_kw),
@@ -162,8 +201,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     # round-trip validation: the files must parse back
     for name in (TRAIN_FILE, VAL_FILE, TEST_FILE):
-        if (out / name).stat().st_size > 1:
-            read_dataset(out / name)
+        read_dataset(out / name)
     _progress(
         f"wrote {len(train_events)} train / {len(val_events)} val / "
         f"{len(test_events)} test events to {out}"
@@ -191,21 +229,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    overrides = {}
     file_cfg = _load_config_file(args.config) if args.config else {}
-    overrides.update(file_cfg.get("train", {}))
-    for flag, field in (
-        ("alpha1", "alpha1"),
-        ("alpha2", "alpha2"),
-        ("ttt_steps", "ttt_steps"),
-        ("ttt_lr", "ttt_lr"),
-        ("mode", "adaptation_mode"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    model = with_config(model, **overrides)
+    model = with_config(model, **{**file_cfg.get("train", {}), **_flag_overrides(args)})
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")
     _progress(json.dumps(asdict(model.config), sort_keys=True, indent=2))

@@ -227,24 +227,13 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
     )
 
 
-def write_dataset(
-    events: Sequence[PropagationEvent], path: str | Path, meta: dict | None = None
-) -> None:
-    """JSON Lines, one event per line; floats keep full precision.
-
-    When ``meta`` is given it lands in a ``<stem>.meta.json`` sidecar next to
-    the dataset.
-    """
-    path = Path(path)
+def write_dataset(events: Sequence[PropagationEvent], path: str | Path) -> None:
+    """JSON Lines, one event per line; floats keep full precision. No events
+    write an empty file."""
     lines = [
-        json.dumps(event_to_json_dict(e), separators=(",", ":")) for e in events
+        json.dumps(event_to_json_dict(e), separators=(",", ":")) + "\n" for e in events
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if meta is not None:
-        sidecar = path.with_suffix(".meta.json")
-        sidecar.write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_dataset(path: str | Path) -> list[PropagationEvent]:

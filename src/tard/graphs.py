@@ -1,4 +1,4 @@
-"""Propagation-event data model, adjacency construction, and feature shuffling.
+"""Propagation-event data model and adjacency construction.
 
 Events are reply cascades: node 0 is the source post, later nodes are
 responsive posts, and every node carries a feature vector. Runtime graphs
@@ -116,13 +116,6 @@ def normalize_adjacency(a: np.ndarray, mode: AdjacencyMode = "undirected") -> np
         r = np.maximum(a, eye)
         return r / r.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown adjacency mode {mode!r}")
-
-
-def shuffle_features(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rows of ``x`` in a uniformly random order. The input is not modified."""
-    x = np.asarray(x, dtype=np.float64)
-    perm = rng.permutation(x.shape[0])
-    return x[perm]
 
 
 def to_prop_graph(event: PropagationEvent, mode: AdjacencyMode = "undirected") -> PropGraph:

@@ -7,7 +7,7 @@ Parameter groups:
   theta_m  classification head: GCN layers (relu), mean readout, affine map
            to class logits, softmax
   theta_s  SSL head: GCN layers, relu on hidden layers and identity on the
-           last so discriminator scores can take either sign
+           last so node-vs-readout scores can take either sign
 
 ``objective`` computes any mix of the three loss terms and accumulates their
 gradients into ``Parameter.grad`` buffers; callers zero them per step and

@@ -1,21 +1,21 @@
 """Dense numeric kernel: GCN layer with hand-derived gradients, mean readout,
-contrastive discriminator, losses, Adam, and a finite-difference checker.
+contrastive loss, softmax cross-entropy, and Adam.
 
 Everything runs in float64. Each ``*_backward`` is the exact gradient of the
-matching forward map, which the finite-difference checker verifies.
+matching forward map, which the tests verify by central differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 Activation = Literal["relu", "identity"]
 
 #: Lower clamp for log arguments in the contrastive loss, so a saturated
-#: discriminator yields a large finite loss instead of -inf. Gradients are
+#: node-vs-readout score yields a large finite loss instead of -inf. Gradients are
 #: zero inside the clamped region.
 LOG_EPS = 1e-12
 
@@ -125,20 +125,13 @@ def mean_readout_backward(grad_out: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.tile(grad_out / num_nodes, (num_nodes, 1))
 
 
-def discriminator(h_i: np.ndarray, g: np.ndarray) -> float:
-    """Sigmoid of the inner product between a node embedding and a readout."""
-    if h_i.shape != g.shape:
-        raise ValueError(f"shape mismatch {h_i.shape} vs {g.shape}")
-    return float(sigmoid(float(h_i @ g)))
-
-
 def contrastive_loss(
     h0: np.ndarray, h1: np.ndarray, g0: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Node-vs-readout contrastive loss over an original and a corrupted view.
 
     loss = -(1/2N) sum_i [log D(h0_i, g0) + log(1 - D(h1_i, g0))]
-    with D the sigmoid inner-product discriminator and log arguments clamped
+    with D(h, g) = sigmoid(h . g) and log arguments clamped
     below at LOG_EPS. Returns (loss, grad_h0, grad_h1, grad_g0); g0 is
     treated as an independent input here (callers chain it to h0 themselves).
     """
@@ -224,64 +217,3 @@ def adam_step(named_params: Sequence[tuple[str, Parameter]], state: AdamState) -
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    ok: bool
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry]
-    tolerance: float
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
-def finite_difference_check(
-    loss_fn: Callable[[], tuple[float, Mapping[str, np.ndarray]]],
-    named_params: Sequence[tuple[str, Parameter]],
-    step: float = 1e-5,
-    tolerance: float = 1e-5,
-    scale_floor: float = 1e-3,
-) -> GradCheckReport:
-    """Central-difference check of analytic gradients.
-
-    ``loss_fn`` must be deterministic and pure given the current parameter
-    values; it returns the loss and analytic gradients keyed like
-    ``named_params``. Each entry's error is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, scale_floor); below ``scale_floor`` the
-    comparison degrades to an absolute check, which keeps finite-difference
-    round-off from dominating near-zero gradients.
-    """
-    _, analytic = loss_fn()
-    analytic = {name: np.array(g, dtype=np.float64) for name, g in analytic.items()}
-    entries = []
-    for name, p in named_params:
-        grad_a = analytic[name]
-        if grad_a.shape != p.value.shape:
-            raise ValueError(f"{name}: gradient shape {grad_a.shape} != {p.value.shape}")
-        worst = 0.0
-        flat = p.value.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up, _ = loss_fn()
-            flat[i] = orig - step
-            down, _ = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = grad_a.reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), scale_floor)
-            worst = max(worst, abs(a - numeric) / denom)
-        entries.append(GradCheckEntry(name=name, max_rel_error=worst, ok=worst < tolerance))
-    return GradCheckReport(entries=entries, tolerance=tolerance)

@@ -4,9 +4,11 @@ with a frozen classification head, and prediction.
 Training minimizes L_m + alpha1 * L_s over all parameter groups, one graph
 per optimizer step. Adaptation minimizes L_s + alpha2 * L_c on a single test
 graph, updating only the extractor and the SSL head; the classification head
-stays bit-identical. Evaluation runs either episodically (parameters restored
-from the trained snapshot before every event; order-invariant) or online
-(adapted parameters carry over; order-sensitive by design).
+stays bit-identical. One ``evaluate`` loop adapts and predicts each event,
+and ``adaptation_mode`` sets what the next event starts from: the trained
+snapshot (episodic; order-invariant) or the parameters the previous event
+was adapted to (online; order-sensitive by design). Each event yields one
+``EventRecord``, which serializes through ``dataclasses.asdict``.
 
 Determinism: a training run is a pure function of (dataset, config). The
 config seed feeds three separate streams (init / epoch order / augmentation),
@@ -32,6 +34,7 @@ from .model import (
     GROUP_SHARED,
     GROUP_SSL,
     EmbeddingStats,
+    Losses,
     ModelDims,
     TardParams,
     compute_embedding_stats,
@@ -118,23 +121,12 @@ class TrainedModel:
 
 
 @dataclass(frozen=True)
-class AdaptTrace:
-    """Loss bookkeeping around one adaptation call.
+class EventRecord:
+    """Per-event evaluation result, one JSONL line in reports.
 
-    ls_pre/ls_post are evaluated with the same probe permutation so they are
+    ls_pre/ls_post are scored with the same probe permutation so they are
     comparable; lc_* is the alignment penalty, which needs no randomness.
     """
-
-    ls_pre: float
-    ls_post: float
-    lc_pre: float
-    lc_post: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """Per-event evaluation result, one JSONL line in reports."""
 
     event_id: str
     label: int
@@ -148,33 +140,14 @@ class EventRecord:
     wall_time_s: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.event_id,
-            "label": self.label,
-            "pred": self.pred,
-            "probs": list(self.probs),
-            "ls_pre": self.ls_pre,
-            "ls_post": self.ls_post,
-            "lc_pre": self.lc_pre,
-            "lc_post": self.lc_post,
-            "steps": self.steps,
-            "wall_time_s": self.wall_time_s,
-        }
+        rec = asdict(self)
+        rec["probs"] = list(self.probs)
+        return {"id": rec.pop("event_id"), **rec}
 
     @staticmethod
     def from_json_dict(rec: dict) -> "EventRecord":
-        return EventRecord(
-            event_id=rec["id"],
-            label=int(rec["label"]),
-            pred=int(rec["pred"]),
-            probs=tuple(float(p) for p in rec["probs"]),
-            ls_pre=float(rec["ls_pre"]),
-            ls_post=float(rec["ls_post"]),
-            lc_pre=float(rec["lc_pre"]),
-            lc_post=float(rec["lc_post"]),
-            steps=int(rec["steps"]),
-            wall_time_s=float(rec["wall_time_s"]),
-        )
+        fields = dict(rec, probs=tuple(rec["probs"]))
+        return EventRecord(event_id=fields.pop("id"), **fields)
 
 
 def training_streams(
@@ -296,14 +269,15 @@ def ttt_adapt(
     model: TrainedModel,
     rng: np.random.Generator,
     params: TardParams | None = None,
-) -> tuple[TardParams, AdaptTrace]:
+) -> tuple[TardParams, tuple[Losses, Losses]]:
     """Per-sample test-time training: ttt_steps Adam steps on L_s + alpha2*L_c.
 
     Starts from `params` when given (online mode) or from the trained
     snapshot. Only the extractor and SSL head move; the classification head
     is not even handed to the optimizer. The input parameters are never
     mutated. The first rng draw is a probe permutation used to score L_s
-    before and after; each step then draws its own corruption.
+    before and after; each step then draws its own corruption. Returns the
+    adapted parameters and the (pre, post) probe losses.
     """
     cfg = model.config
     work = snapshot(params if params is not None else model.params)
@@ -322,10 +296,7 @@ def ttt_adapt(
             assert_all_finite(name, p.value)
 
     post = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
-    trace = AdaptTrace(
-        ls_pre=pre.l_s, ls_post=post.l_s, lc_pre=pre.l_c, lc_post=post.l_c, steps=cfg.ttt_steps
-    )
-    return work, trace
+    return work, (pre, post)
 
 
 def predict(graph: PropGraph, params: TardParams) -> tuple[int, np.ndarray]:
@@ -354,12 +325,12 @@ def _eval_one(
     event: PropagationEvent,
     model: TrainedModel,
     seed: int,
-    params: TardParams | None = None,
+    params: TardParams,
 ) -> tuple[EventRecord, TardParams]:
     start = time.perf_counter()
     graph = to_prop_graph(event, mode=model.config.adjacency)
     rng = event_rng(seed, event.id)
-    adapted, trace = ttt_adapt(graph, model, rng, params=params)
+    adapted, (pre, post) = ttt_adapt(graph, model, rng, params=params)
     pred, probs = predict(graph, adapted)
     wall = time.perf_counter() - start
     record = EventRecord(
@@ -367,43 +338,30 @@ def _eval_one(
         label=event.label,
         pred=pred,
         probs=tuple(float(p) for p in probs),
-        ls_pre=trace.ls_pre,
-        ls_post=trace.ls_post,
-        lc_pre=trace.lc_pre,
-        lc_post=trace.lc_post,
-        steps=trace.steps,
+        ls_pre=pre.l_s,
+        ls_post=post.l_s,
+        lc_pre=pre.l_c,
+        lc_post=post.l_c,
+        steps=model.config.ttt_steps,
         wall_time_s=wall,
     )
     return record, adapted
 
 
-def evaluate_episodic(
+def evaluate(
     test_set: Sequence[PropagationEvent],
     model: TrainedModel,
     seed: int | None = None,
 ) -> list[EventRecord]:
-    """Adapt-and-predict each event independently from the trained snapshot.
+    """Adapt-and-predict every event in order.
 
-    Every event's randomness comes from (seed, event id), so records are a
-    pure function of (model, event, seed): reordering or splitting the test
-    set cannot change any record.
+    Episodic mode starts each event from the trained snapshot, and every
+    event's randomness comes from (seed, event id), so records are a pure
+    function of (model, event, seed): reordering or splitting the test set
+    cannot change any record. Online mode carries the adapted parameters over
+    to the next event; it is order-sensitive by design, and a single-event
+    stream matches episodic mode exactly.
     """
-    if not test_set:
-        raise ValueError("empty test set")
-    _check_model_compat(test_set, model)
-    if seed is None:
-        seed = model.config.seed
-    return [_eval_one(e, model, seed)[0] for e in test_set]
-
-
-def evaluate_online(
-    test_set: Sequence[PropagationEvent],
-    model: TrainedModel,
-    seed: int | None = None,
-) -> list[EventRecord]:
-    """Sequential evaluation where adapted parameters carry over between
-    events. Order-sensitive by design; a single-event stream matches
-    episodic mode exactly."""
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
@@ -412,20 +370,11 @@ def evaluate_online(
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:
-        record, running = _eval_one(event, model, seed, params=running)
+        record, adapted = _eval_one(event, model, seed, running)
         records.append(record)
+        if model.config.adaptation_mode == ONLINE:
+            running = adapted
     return records
-
-
-def evaluate(
-    test_set: Sequence[PropagationEvent],
-    model: TrainedModel,
-    seed: int | None = None,
-) -> list[EventRecord]:
-    """Dispatch on the configured adaptation mode."""
-    if model.config.adaptation_mode == ONLINE:
-        return evaluate_online(test_set, model, seed=seed)
-    return evaluate_episodic(test_set, model, seed=seed)
 
 
 # --- checkpoint I/O ---------------------------------------------------------

@@ -86,6 +86,3 @@ def separable(seed: int = 0) -> ExperimentConfig:
     return ExperimentConfig(
         domain=domain, shift=shift, train=train, val_events=20, test_events=20
     )
-
-
-PRESETS = {"shift-mid": shift_mid, "separable": separable}

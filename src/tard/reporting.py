@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
@@ -62,18 +62,6 @@ class MetricsReport:
     degenerate_classes: tuple[int, ...]
     config_fingerprint: str
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class_f1": list(self.per_class_f1),
-            "class_counts": list(self.class_counts),
-            "num_events": self.num_events,
-            "degenerate_classes": list(self.degenerate_classes),
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-        }
 
 
 def confusion_matrix(records: Sequence[EventRecord], num_classes: int) -> np.ndarray:
@@ -178,32 +166,16 @@ def run_sensitivity(
     """
     if which not in SWEEPABLE:
         raise ValueError(f"which must be one of {SWEEPABLE}, got {which!r}")
-    from dataclasses import replace
-
+    shared = train_phase(train_set, base_config) if which == "alpha2" else None
     rows: list[tuple[float, MetricsReport]] = []
-    if which == "alpha1":
-        for value in ALPHA_GRID:
-            cfg = replace(base_config, alpha1=value)
-            model = train_phase(train_set, cfg)
-            recs = evaluate(test_set, model)
-            rows.append(
-                (value, compute_metrics(recs, fingerprint=config_fingerprint(cfg), seed=cfg.seed))
-            )
-    else:
-        model = train_phase(train_set, base_config)
-        for value in ALPHA_GRID:
-            variant = with_config(model, alpha2=value)
-            recs = evaluate(test_set, variant)
-            rows.append(
-                (
-                    value,
-                    compute_metrics(
-                        recs,
-                        fingerprint=config_fingerprint(variant.config),
-                        seed=base_config.seed,
-                    ),
-                )
-            )
+    for value in ALPHA_GRID:
+        if shared is None:
+            model = train_phase(train_set, replace(base_config, alpha1=value))
+        else:
+            model = with_config(shared, alpha2=value)
+        recs = evaluate(test_set, model)
+        fingerprint = config_fingerprint(model.config)
+        rows.append((value, compute_metrics(recs, fingerprint=fingerprint, seed=base_config.seed)))
     return rows
 
 
@@ -247,7 +219,7 @@ def emit_report(
         payload = {
             "config_fingerprint": fingerprint,
             "reports": [
-                {"variant": variant, **rep.to_json_dict()} for variant, rep in rows
+                {"variant": variant, **asdict(rep)} for variant, rep in rows
             ],
         }
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -256,27 +228,6 @@ def emit_report(
     else:
         raise ValueError(f"unknown report format {format!r}")
     return path
-
-
-def parse_report_csv(path: str | Path) -> tuple[str, list[dict]]:
-    """Inverse of the CSV emitter: (fingerprint, rows with parsed floats)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    fingerprint = ""
-    data_lines = []
-    for line in lines:
-        if line.startswith("# config="):
-            fingerprint = line[len("# config=") :]
-        elif line:
-            data_lines.append(line)
-    reader = csv.DictReader(data_lines, lineterminator="\n")
-    rows = []
-    for rec in reader:
-        parsed: dict = {"variant": rec["variant"], "seed": int(rec["seed"])}
-        for key, value in rec.items():
-            if key not in ("variant", "seed"):
-                parsed[key] = float(value)
-        rows.append(parsed)
-    return fingerprint, rows
 
 
 _SVG_WIDTH = 640

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from tard.datagen import generate_domain
 from tard.graphs import PropagationEvent, to_prop_graph
 from tard.model import ModelDims, init_params
+from tard.nn import Parameter
 from tard.presets import shift_mid
 from tard.reporting import run_ablation
 
@@ -79,3 +84,85 @@ def shift_benchmark():
 @pytest.fixture
 def small_params():
     return init_params(ModelDims(d_in=4, d_hidden=5, num_classes=2), seed=99)
+
+
+@dataclass
+class GradCheckEntry:
+    name: str
+    max_rel_error: float
+    ok: bool
+
+
+@dataclass
+class GradCheckReport:
+    entries: list[GradCheckEntry]
+    tolerance: float
+
+    @property
+    def max_rel_error(self) -> float:
+        return max((e.max_rel_error for e in self.entries), default=0.0)
+
+    @property
+    def ok(self) -> bool:
+        return all(e.ok for e in self.entries)
+
+
+def finite_difference_check(
+    loss_fn: Callable[[], tuple[float, Mapping[str, np.ndarray]]],
+    named_params: Sequence[tuple[str, Parameter]],
+    step: float = 1e-5,
+    tolerance: float = 1e-5,
+    scale_floor: float = 1e-3,
+) -> GradCheckReport:
+    """Central-difference check of analytic gradients.
+
+    ``loss_fn`` must be deterministic and pure given the current parameter
+    values; it returns the loss and analytic gradients keyed like
+    ``named_params``. Each entry's error is |analytic - numeric| divided by
+    max(|analytic|, |numeric|, scale_floor); below ``scale_floor`` the
+    comparison degrades to an absolute check, which keeps finite-difference
+    round-off from dominating near-zero gradients.
+    """
+    _, analytic = loss_fn()
+    analytic = {name: np.array(g, dtype=np.float64) for name, g in analytic.items()}
+    entries = []
+    for name, p in named_params:
+        grad_a = analytic[name]
+        if grad_a.shape != p.value.shape:
+            raise ValueError(f"{name}: gradient shape {grad_a.shape} != {p.value.shape}")
+        worst = 0.0
+        flat = p.value.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up, _ = loss_fn()
+            flat[i] = orig - step
+            down, _ = loss_fn()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            a = grad_a.reshape(-1)[i]
+            denom = max(abs(a), abs(numeric), scale_floor)
+            worst = max(worst, abs(a - numeric) / denom)
+        entries.append(GradCheckEntry(name=name, max_rel_error=worst, ok=worst < tolerance))
+    return GradCheckReport(entries=entries, tolerance=tolerance)
+
+
+def parse_report_csv(path: str | Path) -> tuple[str, list[dict]]:
+    """Inverse of the CSV emitter: (fingerprint, rows with parsed floats)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    fingerprint = ""
+    data_lines = []
+    for line in lines:
+        if line.startswith("# config="):
+            fingerprint = line[len("# config=") :]
+        elif line:
+            data_lines.append(line)
+    reader = csv.DictReader(data_lines, lineterminator="\n")
+    rows = []
+    for rec in reader:
+        parsed: dict = {"variant": rec["variant"], "seed": int(rec["seed"])}
+        for key, value in rec.items():
+            if key not in ("variant", "seed"):
+                parsed[key] = float(value)
+        rows.append(parsed)
+    return fingerprint, rows

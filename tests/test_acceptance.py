@@ -10,7 +10,12 @@ import time
 
 import numpy as np
 
-from conftest import make_random_event, make_random_graph, record_acceptance
+from conftest import (
+    finite_difference_check,
+    make_random_event,
+    make_random_graph,
+    record_acceptance,
+)
 from tard.cli import main as cli_main
 from tard.graphs import PropagationEvent, to_prop_graph
 from tard.model import (
@@ -23,10 +28,10 @@ from tard.model import (
     init_params,
     objective,
 )
-from tard.nn import AdamState, adam_step, finite_difference_check
+from tard.nn import AdamState, adam_step
 from tard.pipeline import (
     TrainConfig,
-    evaluate_episodic,
+    evaluate,
     predict,
     train_phase,
     training_streams,
@@ -163,7 +168,7 @@ def test_criterion_4_degeneracy_equalities():
         train_match &= group_bytes(model.params, g) == group_bytes(oracle, g)
 
     plain = with_config(model, ttt_steps=0)
-    records = evaluate_episodic(events, plain)
+    records = evaluate(events, plain)
     infer_match = True
     for event, rec in zip(events, records):
         pred, probs = predict(to_prop_graph(event), model.params)

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parse_report_csv
 from tard.cli import main
 from tard.graphs import to_prop_graph
 from tard.pipeline import load_checkpoint, predict
-from tard.reporting import parse_report_csv
 
 TINY_CONFIG = {
     "seed": 0,
@@ -76,12 +76,42 @@ class TestGen:
         )
         assert _file_bytes(out) == _file_bytes(workdir["data"])
 
-    def test_invalid_config_value_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            pytest.param(
+                "gen",
+                {"domain": {"feature_noise_std": -1.0}},
+                ["feature_noise_std"],
+                id="gen-range",
+            ),
+            *(
+                pytest.param(command, payload, ["bad.json", key], id=f"{command}-{case}")
+                for command in ("gen", "eval")
+                for case, payload, key in (
+                    ("train-key", {"train": {"bogus": 1}}, "'train.bogus'"),
+                    ("domain-key", {"domain": {"bogus": 1}}, "'domain.bogus'"),
+                    ("float-type", {"train": {"alpha1": "abc"}}, "'train.alpha1'"),
+                    ("int-type", {"train": {"ttt_steps": "5"}}, "'train.ttt_steps'"),
+                    ("section-type", {"domain": []}, "'domain'"),
+                )
+            ),
+        ],
+    )
+    def test_invalid_config_value_exits_2(
+        self, workdir, tmp_path, capsys, command, payload, named
+    ):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"domain": {"feature_noise_std": -1.0}}))
-        code = main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")])
+        bad.write_text(json.dumps(payload))
+        inputs = []
+        if command == "eval":
+            inputs = [str(workdir["checkpoint"]), str(workdir["data"] / "test.jsonl")]
+        code = main([command, *inputs, "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        for fragment in named:
+            assert fragment in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

@@ -299,11 +299,11 @@ class TestDatasetFiles:
             assert re.edges == orig.edges
             assert re.features.tobytes() == orig.features.tobytes()
 
-    def test_meta_sidecar(self, tmp_path):
+    def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        write_dataset(generate_domain(_spec(num_events=2)), path, meta={"k": 1})
-        sidecar = tmp_path / "d.meta.json"
-        assert json.loads(sidecar.read_text()) == {"k": 1}
+        write_dataset([], path)
+        assert path.read_bytes() == b""
+        assert read_dataset(path) == []
 
     def test_invalid_json_names_line(self, tmp_path):
         events = generate_domain(_spec(num_events=3))

@@ -1,4 +1,4 @@
-"""Graph container, adjacency normalization, and feature shuffling."""
+"""Graph container and adjacency normalization."""
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +11,6 @@ from tard.graphs import (
     PropagationEvent,
     build_adjacency,
     normalize_adjacency,
-    shuffle_features,
     to_prop_graph,
 )
 
@@ -94,38 +93,6 @@ class TestNormalizeAdjacency:
         npt.assert_allclose(s, s.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(s)
         assert np.max(np.abs(eigs)) <= 1.0 + 1e-9
-
-
-class TestShuffleFeatures:
-    def test_single_row_identity(self):
-        x = np.array([[1.0, 2.0]])
-        npt.assert_array_equal(shuffle_features(x, np.random.default_rng(0)), x)
-
-    def test_deterministic_given_seed(self):
-        x = np.arange(20.0).reshape(5, 4)
-        a = shuffle_features(x, np.random.default_rng(42))
-        b = shuffle_features(x, np.random.default_rng(42))
-        assert a.tobytes() == b.tobytes()
-
-    def test_input_unmodified_and_multiset_preserved(self):
-        x = np.arange(12.0).reshape(4, 3)
-        orig = x.copy()
-        out = shuffle_features(x, np.random.default_rng(3))
-        npt.assert_array_equal(x, orig)
-        npt.assert_array_equal(
-            np.sort(out, axis=0), np.sort(x, axis=0)
-        )
-
-    @given(st.integers(1, 30), st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_inverse_permutation_restores(self, n, seed):
-        x = np.random.default_rng(7).standard_normal((n, 3))
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(n)
-        shuffled = x[perm]
-        inverse = np.empty(n, dtype=int)
-        inverse[perm] = np.arange(n)
-        npt.assert_array_equal(shuffled[inverse], x)
 
 
 class TestToPropGraph:

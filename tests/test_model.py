@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_graph
+from conftest import finite_difference_check, make_random_graph
 from tard.graphs import PropGraph
 from tard.model import (
     GROUP_MAIN,
@@ -33,7 +33,7 @@ from tard.model import (
     stats_from_record,
     stats_to_record,
 )
-from tard.nn import AdamState, Parameter, adam_step, finite_difference_check
+from tard.nn import AdamState, Parameter, adam_step
 
 
 def _line_graph(features):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_difference_check
 from tard.nn import (
     LOG_EPS,
     AdamState,
@@ -13,8 +14,6 @@ from tard.nn import (
     adam_step,
     assert_all_finite,
     contrastive_loss,
-    discriminator,
-    finite_difference_check,
     gcn_backward,
     gcn_forward,
     glorot,
@@ -102,20 +101,6 @@ class TestReadout:
     def test_backward_spreads_one_over_n(self):
         g = mean_readout_backward(np.array([4.0, 8.0]), 4)
         npt.assert_allclose(g, np.tile([1.0, 2.0], (4, 1)), atol=1e-15)
-
-
-class TestDiscriminator:
-    def test_orthogonal_gives_half(self):
-        assert discriminator(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.5
-
-    def test_inner_product_two(self):
-        d = discriminator(np.array([2.0, 0.0]), np.array([1.0, 5.0]))
-        npt.assert_allclose(d, 1.0 / (1.0 + np.exp(-2.0)), atol=1e-15)
-
-    def test_symmetric_in_arguments(self, rng):
-        h = rng.standard_normal(5)
-        g = rng.standard_normal(5)
-        assert discriminator(h, g) == discriminator(g, h)
 
 
 class TestContrastiveLoss:

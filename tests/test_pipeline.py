@@ -25,8 +25,6 @@ from tard.pipeline import (
     TrainConfig,
     checkpoint_record,
     evaluate,
-    evaluate_episodic,
-    evaluate_online,
     event_rng,
     load_checkpoint,
     predict,
@@ -54,6 +52,10 @@ def _strip_wall(records):
         d.pop("wall_time_s")
         out.append(d)
     return out
+
+
+def _online(model):
+    return with_config(model, adaptation_mode="online")
 
 
 @pytest.fixture(scope="module")
@@ -161,22 +163,21 @@ class TestTttAdapt:
     def test_classification_head_frozen(self, separable_model):
         model, train_set = separable_model
         graph = to_prop_graph(train_set[0])
-        adapted, trace = ttt_adapt(graph, model, np.random.default_rng(0))
+        adapted, _ = ttt_adapt(graph, model, np.random.default_rng(0))
         assert group_bytes(adapted, GROUP_MAIN) == group_bytes(model.params, GROUP_MAIN)
         assert group_bytes(adapted, GROUP_SHARED) != group_bytes(
             model.params, GROUP_SHARED
         )
-        assert trace.steps == model.config.ttt_steps
 
     def test_zero_steps_returns_identical_params(self, separable_model):
         model, train_set = separable_model
         frozen = with_config(model, ttt_steps=0)
         graph = to_prop_graph(train_set[1])
-        adapted, trace = ttt_adapt(graph, frozen, np.random.default_rng(5))
+        adapted, (pre, post) = ttt_adapt(graph, frozen, np.random.default_rng(5))
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(adapted, g) == group_bytes(model.params, g)
-        assert trace.ls_pre == trace.ls_post
-        assert trace.lc_pre == trace.lc_post
+        assert pre.l_s == post.l_s
+        assert pre.l_c == post.l_c
 
     def test_input_params_never_mutated(self, separable_model):
         model, train_set = separable_model
@@ -194,8 +195,8 @@ class TestTttAdapt:
         wins = 0
         for i in range(10):
             ev = make_random_event(rng, int(rng.integers(6, 14)), 4, event_id=f"s{i}")
-            _, trace = ttt_adapt(to_prop_graph(ev), pure_ssl, np.random.default_rng(i))
-            wins += trace.ls_post <= trace.ls_pre
+            _, (pre, post) = ttt_adapt(to_prop_graph(ev), pure_ssl, np.random.default_rng(i))
+            wins += post.l_s <= pre.l_s
         assert wins >= 9
 
 
@@ -220,27 +221,28 @@ class TestEpisodicEvaluation:
     def test_rejects_empty_test_set(self, separable_model):
         model, _ = separable_model
         with pytest.raises(ValueError):
-            evaluate_episodic([], model)
+            evaluate([], model)
 
     def test_rejects_feature_dim_mismatch(self, separable_model, rng):
         model, _ = separable_model
         with pytest.raises(ValueError, match="feature dim"):
-            evaluate_episodic([make_random_event(rng, 4, 9)], model)
+            evaluate([make_random_event(rng, 4, 9)], model)
 
     def test_order_invariance(self, separable_model):
         model, _ = separable_model
         events = _events(n=5, dim=4, seed=3)
-        fwd = evaluate_episodic(events, model)
-        rev = evaluate_episodic(list(reversed(events)), model)
+        fwd = evaluate(events, model)
+        rev = evaluate(list(reversed(events)), model)
         assert _strip_wall(fwd) == _strip_wall(list(reversed(rev)))
+        assert all(r.steps == model.config.ttt_steps for r in fwd)
 
     def test_single_event_calls_match_batch(self, separable_model):
         """Each record is a pure function of (model, event, seed): evaluating
         every event on its own reproduces the batch call."""
         model, _ = separable_model
         events = _events(n=5, dim=4, seed=6)
-        batch = evaluate_episodic(events, model)
-        alone = [evaluate_episodic([e], model)[0] for e in events]
+        batch = evaluate(events, model)
+        alone = [evaluate([e], model)[0] for e in events]
         assert _strip_wall(alone) == _strip_wall(batch)
 
     def test_event_rng_keyed_by_id_not_position(self):
@@ -255,16 +257,16 @@ class TestOnlineEvaluation:
     def test_single_event_matches_episodic(self, separable_model):
         model, _ = separable_model
         events = _events(n=1, dim=4, seed=11)
-        online = evaluate_online(events, model)
-        episodic = evaluate_episodic(events, model)
+        online = evaluate(events, _online(model))
+        episodic = evaluate(events, model)
         assert _strip_wall(online) == _strip_wall(episodic)
 
     def test_zero_steps_matches_episodic(self, separable_model):
         model, _ = separable_model
         frozen = with_config(model, ttt_steps=0)
         events = _events(n=4, dim=4, seed=12)
-        online = evaluate_online(events, frozen)
-        episodic = evaluate_episodic(events, frozen)
+        online = evaluate(events, _online(frozen))
+        episodic = evaluate(events, frozen)
         assert _strip_wall(online) == _strip_wall(episodic)
 
     def test_order_sensitivity(self, separable_model):
@@ -272,10 +274,10 @@ class TestOnlineEvaluation:
         different history gives a different record."""
         model, _ = separable_model
         events = _events(n=3, dim=4, seed=13)
-        fwd = {r.event_id: r.probs for r in evaluate_online(events, model)}
+        fwd = {r.event_id: r.probs for r in evaluate(events, _online(model))}
         rev = {
             r.event_id: r.probs
-            for r in evaluate_online(list(reversed(events)), model)
+            for r in evaluate(list(reversed(events)), _online(model))
         }
         assert any(fwd[k] != rev[k] for k in fwd)
 
@@ -289,10 +291,10 @@ class TestOnlineEvaluation:
         tgt = generate_domain(replace(tgt_spec, num_events=4))
         blocked = src + tgt
         interleaved = [e for pair in zip(src, tgt) for e in pair]
-        a = {r.event_id: r.to_json_dict() for r in evaluate_online(blocked, model)}
+        a = {r.event_id: r.to_json_dict() for r in evaluate(blocked, _online(model))}
         b = {
             r.event_id: r.to_json_dict()
-            for r in evaluate_online(interleaved, model)
+            for r in evaluate(interleaved, _online(model))
         }
         assert set(a) == set(b)
         for d in (*a.values(), *b.values()):
@@ -300,11 +302,14 @@ class TestOnlineEvaluation:
         assert any(a[k] != b[k] for k in a)
 
     def test_dispatch_honors_config_mode(self, separable_model):
+        """The first event starts from the trained snapshot in both modes;
+        only online mode starts the second from the first's adaptation."""
         model, _ = separable_model
         events = _events(n=2, dim=4, seed=14)
-        online = evaluate(events, with_config(model, adaptation_mode="online"))
-        explicit = evaluate_online(events, with_config(model, adaptation_mode="online"))
-        assert _strip_wall(online) == _strip_wall(explicit)
+        online = _strip_wall(evaluate(events, _online(model)))
+        episodic = _strip_wall(evaluate(events, model))
+        assert online[0] == episodic[0]
+        assert online[1] != episodic[1]
 
 
 class TestCheckpoints:

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import make_random_event
+from conftest import make_random_event, parse_report_csv
 from tard.datagen import generate_domain
 from tard.graphs import to_prop_graph
 from tard.model import GROUP_MAIN, GROUP_SHARED, GROUP_SSL, group_bytes
@@ -23,7 +23,6 @@ from tard.reporting import (
     config_fingerprint,
     confusion_matrix,
     emit_report,
-    parse_report_csv,
     run_ablation,
     run_sensitivity,
 )
@@ -174,7 +173,19 @@ class TestEmitReport:
         path = emit_report([("tard", rep)], tmp_path / "r.json", "json")
         payload = json.loads(path.read_text())
         assert payload["config_fingerprint"] == "aa"
-        assert payload["reports"] == [{"variant": "tard", **rep.to_json_dict()}]
+        assert payload["reports"] == [
+            {
+                "variant": "tard",
+                "accuracy": 0.75,
+                "macro_f1": 0.7,
+                "per_class_f1": [0.7, 0.7],
+                "class_counts": [3, 3],
+                "num_events": 6,
+                "degenerate_classes": [],
+                "config_fingerprint": "aa",
+                "seed": 4,
+            }
+        ]
 
     def test_svg_is_well_formed(self, tmp_path):
         rows = [(f"v{i}", _report(0.4 + 0.05 * i, 0.4)) for i in range(5)]
