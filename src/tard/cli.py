@@ -16,6 +16,7 @@ import sys
 import types
 import typing
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 from .datagen import DomainSpec, ShiftSpec, generate_domain, read_dataset, write_dataset
@@ -116,13 +117,47 @@ def _tupled(kw: dict, *keys: str) -> dict:
     return kw
 
 
+def _check_file_values(
+    path: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
+) -> None:
+    """Validate a config file's ``values`` over ``defaults`` with ``build``
+    (a component type). An out-of-range value raises a ValueError naming the
+    file and its dotted key; the first key rejected on its own is named,
+    else the section."""
+    try:
+        build(**_tupled({**defaults, **values}, "size_dist", "mean_translation"))
+        return
+    except ValueError as exc:
+        error = exc
+    where = prefix.rstrip(".")
+    for key, value in values.items():
+        try:
+            build(**_tupled({**defaults, key: value}, "size_dist", "mean_translation"))
+        except ValueError:
+            where = prefix + key
+            break
+    raise ValueError(f"config file {path}: {where!r} is out of range: {error}")
+
+
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """defaults <- config file <- flags, validated by the component types."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    """defaults <- config file <- flags, validated by the component types.
+
+    The file's values are checked over the defaults before any flag is
+    applied, so an error names the file only when the file is at fault.
+    """
+    path = getattr(args, "config", None)
+    file_cfg = _load_config_file(path) if path else {}
     seed = file_cfg.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
+    elif seed < 0:
+        raise ValueError(f"config file {path}: 'seed' is out of range: seed must be >= 0")
     base = shift_mid(int(seed))
+    for section, cls in CONFIG_SECTIONS.items():
+        defaults = asdict(getattr(base, section))
+        _check_file_values(path, f"{section}.", cls, defaults, file_cfg.get(section, {}))
+    counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
+    _check_file_values(path, "", partial(replace, base), {}, counts)
 
     domain_kw = _tupled(
         {**asdict(base.domain), **file_cfg.get("domain", {})},
@@ -230,7 +265,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    model = with_config(model, **{**file_cfg.get("train", {}), **_flag_overrides(args)})
+    train_file = file_cfg.get("train", {})
+    _check_file_values(args.config, "train.", TrainConfig, asdict(model.config), train_file)
+    model = with_config(model, **{**train_file, **_flag_overrides(args)})
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")
     _progress(json.dumps(asdict(model.config), sort_keys=True, indent=2))

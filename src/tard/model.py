@@ -132,12 +132,17 @@ def _run_stack(
     x: np.ndarray,
     layers: Sequence[Parameter],
     activations: Sequence[str],
+    *,
+    views: int = 1,
+    ah: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[GcnCache]]:
+    """Forward through a stack; ``ah`` (= adj @ x, when known) feeds the first layer."""
     h = x
     caches = []
     for p, act in zip(layers, activations):
-        h, cache = gcn_forward(adj, h, p.value, act)  # type: ignore[arg-type]
+        h, cache = gcn_forward(adj, h, p.value, act, views=views, ah=ah)  # type: ignore[arg-type]
         caches.append(cache)
+        ah = None
     return h, caches
 
 
@@ -145,10 +150,24 @@ def _backward_stack(
     caches: Sequence[GcnCache],
     layers: Sequence[Parameter],
     grad_out: np.ndarray,
-) -> np.ndarray:
-    for cache, p in zip(reversed(caches), reversed(list(layers))):
-        grad_out, grad_w = gcn_backward(cache, grad_out)
-        p.grad += grad_w
+    *,
+    input_grad: bool = True,
+    extra: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Backward through a stack, last layer first; each view's grad_w adds
+    to its layer's ``.grad`` in view order. ``input_grad`` and ``extra`` are
+    the first layer's (see ``gcn_backward``), whose input gradient is
+    returned."""
+    for i in reversed(range(len(caches))):
+        first = i == 0
+        grad_out, grad_ws = gcn_backward(
+            caches[i],
+            grad_out,
+            input_grad=input_grad or not first,
+            extra=extra if first else None,
+        )
+        for grad_w in grad_ws:
+            layers[i].grad += grad_w
     return grad_out
 
 
@@ -161,7 +180,7 @@ def forward_shared(
             f"feature dim {graph.features.shape[1]} does not match model d_in {params.dims.d_in}"
         )
     acts = ["relu"] * len(params.theta_e)
-    return _run_stack(graph.adj_norm, graph.features, params.theta_e, acts)
+    return _run_stack(graph.adj_norm, graph.features, params.theta_e, acts, ah=graph.ax)
 
 
 @dataclass
@@ -173,11 +192,15 @@ class MainCache:
 
 
 def forward_main(
-    shared_h: np.ndarray, graph: PropGraph, params: TardParams
+    shared_h: np.ndarray,
+    graph: PropGraph,
+    params: TardParams,
+    ah: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MainCache]:
-    """Class probabilities from the classification head."""
+    """Class probabilities from the classification head. ``ah`` is
+    ``adj_norm @ shared_h`` when the caller already has it."""
     acts = ["relu"] * len(params.theta_m_gcn)
-    h, caches = _run_stack(graph.adj_norm, shared_h, params.theta_m_gcn, acts)
+    h, caches = _run_stack(graph.adj_norm, shared_h, params.theta_m_gcn, acts, ah=ah)
     g = mean_readout(h)
     logits = g @ params.theta_m_out_w.value + params.theta_m_out_b.value[0]
     probs = softmax(logits[None, :])[0]
@@ -186,23 +209,31 @@ def forward_main(
 
 def forward_ssl(
     shared_h: np.ndarray, graph: PropGraph, params: TardParams, perm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[list[GcnCache], ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[list[GcnCache], list[GcnCache]]]:
     """SSL-head embeddings of the original view and a feature-shuffled view.
 
     ``shared_h`` is the extractor output on the original view. The corrupted
     view keeps the adjacency, permutes feature rows by ``perm`` and runs
-    through the extractor here. Returns (h0, h1, g0, caches) where g0 is the
-    mean readout of h0 and caches holds the original-view head, shuffled-view
-    head and shuffled-view extractor caches, in that order.
+    through the extractor here. Both views then pass each head layer side by
+    side, so each layer makes one adjacency product for the two. Returns
+    (h0, h1, g0, caches) where g0 is the mean readout of h0 and caches holds
+    the two-view head caches and the shuffled-view extractor caches.
     """
     acts = ["relu"] * (len(params.theta_s) - 1) + ["identity"]
     x1 = graph.features[np.asarray(perm, dtype=np.intp)]
     h_sh1, shared1 = _run_stack(
         graph.adj_norm, x1, params.theta_e, ["relu"] * len(params.theta_e)
     )
-    h0, head0 = _run_stack(graph.adj_norm, shared_h, params.theta_s, acts)
-    h1, head1 = _run_stack(graph.adj_norm, h_sh1, params.theta_s, acts)
-    return h0, h1, mean_readout(h0), (head0, head1, shared1)
+    both, head = _run_stack(
+        graph.adj_norm,
+        np.concatenate([shared_h, h_sh1], axis=1),
+        params.theta_s,
+        acts,
+        views=2,
+    )
+    d = shared_h.shape[1]
+    h0, h1 = both[:, :d], both[:, d:]
+    return h0, h1, mean_readout(h0), (head, shared1)
 
 
 @dataclass
@@ -239,15 +270,28 @@ def objective(
     still reported).
 
     Extractor backward passes run in a fixed order: main branch, original
-    view (SSL upstream plus the penalty), shuffled view.
+    view (SSL upstream plus the penalty), shuffled view. Each distinct
+    adjacency product is made once: the extractor's first layer reads the
+    graph's cached ``ax`` and computes no input gradient, and with both
+    heads the classification head's first layer reads ``adj @ h`` from the
+    SSL head's two-view product and joins its transposed product on the way
+    back.
     """
     h, sh_caches = forward_shared(graph, params)
+    d = h.shape[1]
     out = Losses()
+    head = sh1_caches = None
+    if perm is not None:
+        h0, h1, g0, (head, sh1_caches) = forward_ssl(h, graph, params, perm)
+        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0)
+
+    grad_main = None  # the main head's gradient at h (at adj @ h with perm)
     if label is not None:
         c = params.dims.num_classes
         if not 0 <= label < c:
             raise ValueError(f"label {label} outside [0, {c})")
-        _, cache = forward_main(h, graph, params)
+        ah = head[0].ah[:, :d] if head is not None else None
+        _, cache = forward_main(h, graph, params, ah=ah)
         y = np.zeros((1, c))
         y[0, label] = 1.0
         out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], y)
@@ -257,26 +301,24 @@ def objective(
             params.theta_m_out_b.grad += grad_logits[None, :]
             grad_g = params.theta_m_out_w.value @ grad_logits
             grad_h = mean_readout_backward(grad_g, cache.num_nodes)
-            grad_h = _backward_stack(cache.gcn_caches, params.theta_m_gcn, grad_h)
-            _backward_stack(sh_caches, params.theta_e, grad_h)
+            grad_main = _backward_stack(cache.gcn_caches, params.theta_m_gcn, grad_h)
 
     grad_h0 = grad_h1 = None  # upstream at the extractor output, per view
-    if perm is not None:
-        h0, h1, g0, (head0, head1, sh1_caches) = forward_ssl(h, graph, params, perm)
-        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0)
-        if grad:
-            # g0 = mean(h0), so the readout gradient folds back into h0.
-            g_h0 = g_h0 + mean_readout_backward(g_g0, h0.shape[0])
-            grad_h0 = _backward_stack(head0, params.theta_s, w_s * g_h0)
-            grad_h1 = _backward_stack(head1, params.theta_s, w_s * g_h1)
+    if perm is not None and grad:
+        # g0 = mean(h0), so the readout gradient folds back into h0.
+        g_h0 = g_h0 + mean_readout_backward(g_g0, h0.shape[0])
+        up = np.concatenate([w_s * g_h0, w_s * g_h1], axis=1)
+        grads = _backward_stack(head, params.theta_s, up, extra=grad_main)
+        if grad_main is not None:
+            grad_main, grads = grads[:, :d], grads[:, d:]
+        grad_h0, grad_h1 = grads[:, :d], grads[:, d:]
     if stats is not None:
         out.l_c, grad_c, _ = constraint_loss(stats, h)
         if grad and w_c != 0.0:
             grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
-    if grad_h0 is not None:
-        _backward_stack(sh_caches, params.theta_e, grad_h0)
-    if grad_h1 is not None:
-        _backward_stack(sh1_caches, params.theta_e, grad_h1)
+    for g_h, caches in ((grad_main, sh_caches), (grad_h0, sh_caches), (grad_h1, sh1_caches)):
+        if g_h is not None:
+            _backward_stack(caches, params.theta_e, g_h, input_grad=False)
     return out
 
 
@@ -347,10 +389,10 @@ def constraint_loss(
         )
     n = stats.count
     value = constraint_value(train_stats, stats)
-    grad = np.tile(2.0 / n * (stats.mu - train_stats.mu), (n, 1))
+    grad = 2.0 / n * (stats.mu - train_stats.mu)[None, :]
     if n > 1:
         centered = test_h - stats.mu
-        grad += 4.0 / n * centered @ (stats.eta - train_stats.eta)
+        grad = grad + 4.0 / n * centered @ (stats.eta - train_stats.eta)
     return value, grad, stats
 
 

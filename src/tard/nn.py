@@ -72,9 +72,17 @@ class GcnCache:
 
     adj_norm: np.ndarray
     w: np.ndarray
-    ah: np.ndarray  # adj_norm @ h
-    z: np.ndarray  # pre-activation ah @ w
+    ah: np.ndarray  # adj_norm @ h, one block per view
+    z: np.ndarray  # pre-activation, block v = ah block v @ w
     activation: Activation
+    ah_given: bool = False  # ah came from the caller, not from this layer
+
+
+def _blocks(m: np.ndarray, width: int) -> list[np.ndarray]:
+    """The column blocks of ``m``, ``width`` columns each."""
+    if m.shape[1] == width:
+        return [m]
+    return [m[:, i : i + width] for i in range(0, m.shape[1], width)]
 
 
 def gcn_forward(
@@ -82,27 +90,57 @@ def gcn_forward(
     h: np.ndarray,
     w: np.ndarray,
     activation: Activation = "relu",
+    *,
+    views: int = 1,
+    ah: np.ndarray | None = None,
 ) -> tuple[np.ndarray, GcnCache]:
-    """One graph convolution: act(adj_norm @ h @ w)."""
+    """One graph convolution: act(adj_norm @ h @ w), for ``views`` inputs at once.
+
+    ``h`` holds the views side by side, ``w.shape[0]`` columns each, and so
+    does the output; the adjacency multiplies all of them in one product.
+    A caller that already has ``adj_norm @ h`` passes it as ``ah``; the
+    layer then makes no adjacency product at all, and its input is ``ah``.
+    """
     if adj_norm.shape[0] != adj_norm.shape[1] or adj_norm.shape[1] != h.shape[0]:
         raise ValueError(f"adjacency {adj_norm.shape} does not match h {h.shape}")
-    if h.shape[1] != w.shape[0]:
-        raise ValueError(f"h {h.shape} does not match w {w.shape}")
-    ah = adj_norm @ h
-    z = ah @ w
+    if h.shape[1] != views * w.shape[0]:
+        raise ValueError(f"h {h.shape} does not match w {w.shape} for {views} view(s)")
+    ah_given = ah is not None
+    if ah is None:
+        ah = adj_norm @ h
+    if views == 1:
+        z = ah @ w
+    else:
+        z = np.concatenate([block @ w for block in _blocks(ah, w.shape[0])], axis=1)
     if activation == "relu":
         out = np.maximum(z, 0.0)
     elif activation == "identity":
         out = z
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    return out, GcnCache(adj_norm=adj_norm, w=w, ah=ah, z=z, activation=activation)
+    cache = GcnCache(
+        adj_norm=adj_norm, w=w, ah=ah, z=z, activation=activation, ah_given=ah_given
+    )
+    return out, cache
 
 
-def gcn_backward(cache: GcnCache, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of gcn_forward w.r.t. its inputs h and w.
+def gcn_backward(
+    cache: GcnCache,
+    upstream: np.ndarray,
+    *,
+    input_grad: bool = True,
+    extra: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """Gradients of gcn_forward w.r.t. its input and w.
 
-    The adjacency is treated as a constant. Returns (grad_h, grad_w).
+    The adjacency is treated as a constant. Returns (grad_input, grad_ws):
+    one grad_w per view, in view order, for the caller to accumulate one by
+    one; the input gradient holds the views side by side, and is None when
+    ``input_grad`` is false. The input is ``h``, or ``ah`` when the forward
+    pass was handed ``ah``; then no adjacency product is made here either.
+    ``extra`` holds the gradients at ``ah`` of other layers that read this
+    layer's ``ah``: they share its transposed adjacency product and lead
+    the columns of the returned gradient.
     """
     if upstream.shape != cache.z.shape:
         raise ValueError(f"upstream {upstream.shape} does not match output {cache.z.shape}")
@@ -110,9 +148,19 @@ def gcn_backward(cache: GcnCache, upstream: np.ndarray) -> tuple[np.ndarray, np.
         dz = upstream * (cache.z > 0.0)
     else:
         dz = upstream
-    grad_w = cache.ah.T @ dz
-    grad_h = cache.adj_norm.T @ (dz @ cache.w.T)
-    return grad_h, grad_w
+    d_in, d_out = cache.w.shape
+    grad_ws: list[np.ndarray] = []
+    grad_ah = [] if extra is None else [extra]
+    for ah, g in zip(_blocks(cache.ah, d_in), _blocks(dz, d_out)):
+        grad_ws.append(ah.T @ g)
+        if input_grad:
+            grad_ah.append(g @ cache.w.T)
+    if not input_grad:
+        return None, grad_ws
+    grad_ah = grad_ah[0] if len(grad_ah) == 1 else np.concatenate(grad_ah, axis=1)
+    if cache.ah_given:
+        return grad_ah, grad_ws
+    return cache.adj_norm.T @ grad_ah, grad_ws
 
 
 def mean_readout(h: np.ndarray) -> np.ndarray:
@@ -122,7 +170,9 @@ def mean_readout(h: np.ndarray) -> np.ndarray:
 
 def mean_readout_backward(grad_out: np.ndarray, num_nodes: int) -> np.ndarray:
     """Gradient of mean_readout: 1/N of the upstream vector to every row."""
-    return np.tile(grad_out / num_nodes, (num_nodes, 1))
+    grad = np.empty((num_nodes, grad_out.shape[0]))
+    grad[...] = grad_out / num_nodes
+    return grad
 
 
 def contrastive_loss(
@@ -140,8 +190,9 @@ def contrastive_loss(
     if h0.shape[1] != g0.shape[0]:
         raise ValueError(f"g0 length {g0.shape} does not match {h0.shape}")
     n = h0.shape[0]
-    p = np.asarray(sigmoid(h0 @ g0))  # positive-pair scores
-    q = np.asarray(sigmoid(h1 @ g0))  # negative-pair scores
+    # One sigmoid over both views: positive-pair scores, then negative-pair.
+    pq = np.asarray(sigmoid(np.concatenate([h0 @ g0, h1 @ g0])))
+    p, q = pq[:n], pq[n:]
     pos_arg = np.maximum(p, LOG_EPS)
     neg_arg = np.maximum(1.0 - q, LOG_EPS)
     loss = -(np.log(pos_arg).sum() + np.log(neg_arg).sum()) / (2.0 * n)

@@ -82,9 +82,15 @@ class TestGen:
             pytest.param(
                 "gen",
                 {"domain": {"feature_noise_std": -1.0}},
-                ["feature_noise_std"],
+                ["bad.json", "'domain.feature_noise_std'"],
                 id="gen-range",
             ),
+            pytest.param(
+                "eval", {"train": {"ttt_steps": -1}}, ["bad.json", "'train.ttt_steps'"],
+                id="eval-range",
+            ),
+            pytest.param("gen", {"test_events": 0}, ["bad.json", "'test_events'"], id="gen-count"),
+            pytest.param("gen", {"seed": -2}, ["bad.json", "'seed'"], id="gen-seed"),
             *(
                 pytest.param(command, payload, ["bad.json", key], id=f"{command}-{case}")
                 for command in ("gen", "eval")
@@ -112,6 +118,20 @@ class TestGen:
         assert "error:" in err
         for fragment in named:
             assert fragment in err
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    def test_bad_flag_with_valid_config_does_not_name_the_file(
+        self, workdir, tmp_path, capsys, command
+    ):
+        inputs = []
+        if command == "eval":
+            inputs = [str(workdir["checkpoint"]), str(workdir["data"] / "test.jsonl")]
+        config = str(workdir["config"])
+        args = [command, *inputs, "--config", config, "--alpha1", "-1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "alpha1 must be finite and >= 0" in err
+        assert "config.json" not in err.split("error:", 1)[1]
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["gen", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

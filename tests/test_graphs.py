@@ -63,6 +63,13 @@ class TestBuildAdjacency:
         with pytest.raises(InvalidEventError, match=r"\(1, 5\)"):
             build_adjacency([(1, 5)], 3)
 
+    def test_names_negative_edge(self):
+        with pytest.raises(InvalidEventError, match=r"\(-1, 0\)"):
+            build_adjacency([(0, 1), (-1, 0)], 3)
+
+    def test_no_edges(self):
+        npt.assert_array_equal(build_adjacency([], 2), np.zeros((2, 2)))
+
 
 class TestNormalizeAdjacency:
     def test_single_node(self):
@@ -77,6 +84,26 @@ class TestNormalizeAdjacency:
         a = build_adjacency([(0, 1), (0, 2)], 3)
         r = normalize_adjacency(a, mode="directed")
         npt.assert_allclose(r.sum(axis=1), np.ones(3), atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    def test_bit_identical_to_the_eye_formula(self, mode):
+        # (1, 2) and (2, 1) are a reciprocal pair: the max keeps one 1.
+        a = build_adjacency([(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 0)], 5)
+        a = np.vstack([np.hstack([a, np.zeros((5, 25))]), np.zeros((25, 30))])
+        rng = np.random.default_rng(8)
+        a[5:, 5:] = rng.random((25, 25)) < 0.2
+        np.fill_diagonal(a, 0.0)
+        before = a.copy()
+        eye = np.eye(30)
+        if mode == "undirected":
+            s = np.maximum(np.maximum(a, a.T), eye)
+            d_inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+            expected = (s * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
+        else:
+            r = np.maximum(a, eye)
+            expected = r / r.sum(axis=1, keepdims=True)
+        assert normalize_adjacency(a, mode).tobytes() == expected.tobytes()
+        assert a.tobytes() == before.tobytes()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -107,6 +134,12 @@ class TestToPropGraph:
         expected = [[c, m, m], [m, l, 0], [m, 0, l]]
         npt.assert_allclose(g.adj_norm, expected, atol=1e-12)
         npt.assert_allclose(g.adj_norm, np.asarray(g.adj_norm).T, atol=1e-15)
+
+    def test_caches_adjacency_times_features(self):
+        g = to_prop_graph(_event([(0, 1), (1, 2)], [[1.0, 0.0], [2.0, 1.0], [0.5, -1.0]]))
+        assert g.ax.tobytes() == (g.adj_norm @ g.features).tobytes()
+        with pytest.raises(AttributeError):
+            g.ax = None
 
     def test_features_copied(self):
         ev = _event([(0, 1)], [[1.0], [2.0]])

@@ -34,6 +34,7 @@ from tard.model import (
     stats_to_record,
 )
 from tard.nn import AdamState, Parameter, adam_step
+from tard.pipeline import predict
 
 
 def _line_graph(features):
@@ -319,6 +320,66 @@ class TestObjective:
     def test_absent_terms_are_not_computed(self, small_params, rng):
         out = objective(make_random_graph(rng, 4, 4), small_params, grad=False)
         assert out == Losses()
+
+
+class _CountingAdjacency(np.ndarray):
+    """An adjacency that counts the matrix products it is the left operand
+    of, its transpose included; results are plain arrays."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingAdjacency.products += 1
+        return self.view(np.ndarray) @ other
+
+
+class TestAdjacencyProducts:
+    """Each call makes every distinct N x N product once, with one layer per
+    stack: adj @ X[perm], adj @ [h | h1] and adj.T @ [g0 | g1] in an
+    adaptation step; adj @ X only when the graph is built."""
+
+    def _graphs(self, rng):
+        plain = make_random_graph(rng, 7, 4)
+        counted = PropGraph(
+            num_nodes=7,
+            adj_norm=plain.adj_norm.view(_CountingAdjacency),
+            features=plain.features,
+        )
+        return plain, counted
+
+    def test_building_the_graph_makes_one(self, rng):
+        _CountingAdjacency.products = 0
+        self._graphs(rng)
+        assert _CountingAdjacency.products == 1
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            pytest.param("adapt", 3, id="adaptation-step"),
+            pytest.param("probe", 2, id="loss-probe"),
+            pytest.param("predict", 1, id="predict"),
+            pytest.param("train", 3, id="training-step"),
+        ],
+    )
+    def test_products_per_call(self, small_params, rng, call, expected):
+        plain, counted = self._graphs(rng)
+        stats = compute_embedding_stats([plain], init_params(small_params.dims, seed=1))
+        perm = np.random.default_rng(2).permutation(7)
+        calls = {
+            "adapt": lambda g: objective(g, small_params, perm=perm, stats=stats, w_c=0.1),
+            "probe": lambda g: objective(g, small_params, perm=perm, stats=stats, grad=False),
+            "predict": lambda g: predict(g, small_params)[1].tolist(),
+            "train": lambda g: objective(g, small_params, label=1, perm=perm, w_s=0.5),
+        }
+        _CountingAdjacency.products = 0
+        small_params.zero_grads()
+        got = calls[call](counted)
+        assert _CountingAdjacency.products == expected
+        grads = _grads(small_params.named_parameters())
+        small_params.zero_grads()
+        assert calls[call](plain) == got
+        for name, grad in _grads(small_params.named_parameters()).items():
+            npt.assert_array_equal(grads[name], grad, err_msg=name)
 
 
 class TestEmbeddingStats:

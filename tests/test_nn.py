@@ -64,7 +64,7 @@ class TestGcnForward:
 class TestGcnBackward:
     def test_zero_upstream(self):
         out, cache = gcn_forward(np.eye(2), np.ones((2, 2)), np.ones((2, 2)))
-        gh, gw = gcn_backward(cache, np.zeros_like(out))
+        gh, (gw,) = gcn_backward(cache, np.zeros_like(out))
         npt.assert_array_equal(gh, 0.0)
         npt.assert_array_equal(gw, 0.0)
 
@@ -73,7 +73,7 @@ class TestGcnBackward:
         w = np.array([[1.0, 0.5], [0.25, -2.0]])
         out, cache = gcn_forward(np.eye(1), h, w, activation="identity")
         upstream = np.array([[1.0, 3.0]])
-        _, gw = gcn_backward(cache, upstream)
+        _, (gw,) = gcn_backward(cache, upstream)
         npt.assert_allclose(gw, h.T @ upstream, atol=1e-15)
 
     def test_finite_difference(self, rng):
@@ -85,11 +85,58 @@ class TestGcnBackward:
         def loss_fn():
             out, cache = gcn_forward(adj, h.value, w.value)
             diff = out - target
-            gh, gw = gcn_backward(cache, 2.0 * diff)
+            gh, (gw,) = gcn_backward(cache, 2.0 * diff)
             return float((diff**2).sum()), {"h": gh, "w": gw}
 
         report = finite_difference_check(loss_fn, [("h", h), ("w", w)])
         assert report.ok, f"max rel error {report.max_rel_error}"
+
+    def test_two_views_match_one_view_calls(self, rng):
+        adj = rng.random((5, 5))
+        h0, h1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        w = rng.standard_normal((3, 2))
+        up0, up1 = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        out, cache = gcn_forward(adj, np.hstack([h0, h1]), w, views=2)
+        gh, gws = gcn_backward(cache, np.hstack([up0, up1]))
+        assert len(gws) == 2
+        for v, (h, up) in enumerate(((h0, up0), (h1, up1))):
+            out_v, cache_v = gcn_forward(adj, h, w)
+            gh_v, (gw_v,) = gcn_backward(cache_v, up)
+            npt.assert_allclose(out[:, 2 * v : 2 * v + 2], out_v, atol=1e-13)
+            npt.assert_allclose(gh[:, 3 * v : 3 * v + 3], gh_v, atol=1e-13)
+            npt.assert_allclose(gws[v], gw_v, atol=1e-13)
+
+    def test_rejects_width_not_matching_views(self):
+        with pytest.raises(ValueError, match="2 view"):
+            gcn_forward(np.eye(2), np.zeros((2, 3)), np.eye(2), views=2)
+
+    def test_given_ah_returns_gradient_at_ah(self, rng):
+        adj = rng.random((4, 4))
+        h, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+        up = rng.standard_normal((4, 2))
+        out, cache = gcn_forward(adj, h, w, ah=adj @ h)
+        own_out, own_cache = gcn_forward(adj, h, w)
+        npt.assert_array_equal(out, own_out)
+        g_ah, (gw,) = gcn_backward(cache, up)
+        g_h, (own_gw,) = gcn_backward(own_cache, up)
+        npt.assert_array_equal(gw, own_gw)
+        npt.assert_allclose(g_ah, (up * (own_cache.z > 0)) @ w.T, atol=1e-13)
+        npt.assert_allclose(adj.T @ g_ah, g_h, atol=1e-13)
+
+    def test_extra_joins_the_transposed_product(self, rng):
+        adj = rng.random((4, 4))
+        h, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+        up, extra = rng.standard_normal((4, 2)), rng.standard_normal((4, 5))
+        _, cache = gcn_forward(adj, h, w, activation="identity")
+        gh, _ = gcn_backward(cache, up, extra=extra)
+        npt.assert_allclose(gh[:, :5], adj.T @ extra, atol=1e-13)
+        npt.assert_allclose(gh[:, 5:], adj.T @ (up @ w.T), atol=1e-13)
+
+    def test_no_input_grad(self, rng):
+        _, cache = gcn_forward(np.eye(3), rng.standard_normal((3, 2)), np.eye(2))
+        gh, (gw,) = gcn_backward(cache, np.ones((3, 2)), input_grad=False)
+        assert gh is None
+        assert gw.shape == (2, 2)
 
 
 class TestReadout:
