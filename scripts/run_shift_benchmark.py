@@ -4,8 +4,10 @@
 Trains one model per seed on the source domain and evaluates the three
 adaptation variants (full, no-constraint, no-ttt) on the shifted target
 domain. Prints per-seed accuracies, the mean adaptation gain, and the
-alignment-penalty comparison. Flags override preset knobs, which makes this
-the tool for re-calibrating the shift-mid preset.
+alignment-penalty comparison. ``--config`` takes the same JSON file as
+``tard --config``; each seed overrides the file's seeds as ``tard gen
+--seed`` does, which makes this the tool for re-calibrating the shift-mid
+preset.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tard.cli import resolve_config
 from tard.datagen import generate_domain
-from tard.presets import shift_mid
 from tard.reporting import (
     VARIANT_FULL,
     VARIANT_NO_CONSTRAINT,
@@ -35,85 +36,28 @@ def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--base-seed", type=int, default=0)
+    ap.add_argument("--config", metavar="PATH", help="JSON experiment config, as for tard")
     ap.add_argument("--out", type=Path, help="optional CSV of per-seed rows")
-    # domain overrides
-    ap.add_argument("--separation", type=float)
-    ap.add_argument("--noise", type=float)
-    ap.add_argument("--branching", type=float)
-    ap.add_argument("--signal", type=float)
-    # shift overrides
-    ap.add_argument("--rotation", type=float, help="radians")
-    ap.add_argument("--translation", type=float, help="target mean offset on coords 2..d-1")
-    ap.add_argument("--translation-e01", type=float, default=0.0,
-                    help="target mean offset on coords 0 and 1 (the class plane)")
-    ap.add_argument("--noise-scale", type=float)
-    ap.add_argument("--size-scale", type=float)
-    ap.add_argument("--branching-shift", type=float)
-    # training/adaptation overrides
-    ap.add_argument("--epochs", type=int)
-    ap.add_argument("--patience", type=int)
-    ap.add_argument("--d-hidden", type=int)
-    ap.add_argument("--alpha1", type=float)
-    ap.add_argument("--alpha2", type=float)
-    ap.add_argument("--ttt-steps", type=int)
-    ap.add_argument("--ttt-lr", type=float)
-    return ap.parse_args()
-
-
-def build_config(args: argparse.Namespace, seed: int):
-    cfg = shift_mid(seed)
-    domain_over = {
-        k: v
-        for k, v in (
-            ("class_mean_separation", args.separation),
-            ("feature_noise_std", args.noise),
-            ("branching_bias", args.branching),
-            ("structure_signal_strength", args.signal),
-        )
-        if v is not None
-    }
-    shift_over = {
-        k: v
-        for k, v in (
-            ("rotation_angle", args.rotation),
-            ("noise_scale_factor", args.noise_scale),
-            ("size_scale_factor", args.size_scale),
-            ("branching_shift", args.branching_shift),
-        )
-        if v is not None
-    }
-    if args.translation is not None:
-        d = cfg.domain.feature_dim
-        e01 = args.translation_e01
-        shift_over["mean_translation"] = (e01, e01) + (args.translation,) * (d - 2)
-    train_over = {
-        k: v
-        for k, v in (
-            ("epochs", args.epochs),
-            ("patience", args.patience),
-            ("d_hidden", args.d_hidden),
-            ("alpha1", args.alpha1),
-            ("alpha2", args.alpha2),
-            ("ttt_steps", args.ttt_steps),
-            ("ttt_lr", args.ttt_lr),
-        )
-        if v is not None
-    }
-    return replace(
-        cfg,
-        domain=replace(cfg.domain, **domain_over),
-        shift=replace(cfg.shift, **shift_over) if shift_over else cfg.shift,
-        train=replace(cfg.train, **train_over),
-    )
+    args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be >= 1")
+    return args
 
 
 def main() -> int:
     args = parse_args()
+    try:
+        configs = [
+            resolve_config(argparse.Namespace(config=args.config, seed=args.base_seed + i))
+            for i in range(args.seeds)
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     t_start = time.perf_counter()
-    for i in range(args.seeds):
-        seed = args.base_seed + i
-        cfg = build_config(args, seed)
+    for cfg in configs:
+        seed = cfg.train.seed
         t0 = time.perf_counter()
         train_events = generate_domain(cfg.domain)
         test_events = generate_domain(cfg.target_spec())

@@ -27,7 +27,6 @@ from .pipeline import (
     load_checkpoint,
     save_checkpoint,
     train_phase,
-    with_config,
 )
 from .presets import ExperimentConfig, shift_mid
 from .reporting import (
@@ -119,14 +118,13 @@ def _tupled(kw: dict, *keys: str) -> dict:
 
 def _check_file_values(
     path: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
-) -> None:
-    """Validate a config file's ``values`` over ``defaults`` with ``build``
-    (a component type). An out-of-range value raises a ValueError naming the
-    file and its dotted key; the first key rejected on its own is named,
-    else the section."""
+):
+    """Build a config file's ``values`` over ``defaults`` with ``build`` (a
+    component type) and return the result. An out-of-range value raises a
+    ValueError naming the file and its dotted key; the first key rejected on
+    its own is named, else the section."""
     try:
-        build(**_tupled({**defaults, **values}, "size_dist", "mean_translation"))
-        return
+        return build(**_tupled({**defaults, **values}, "size_dist", "mean_translation"))
     except ValueError as exc:
         error = exc
     where = prefix.rstrip(".")
@@ -143,55 +141,36 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """defaults <- config file <- flags, validated by the component types.
 
     The file's values are checked over the defaults before any flag is
-    applied, so an error names the file only when the file is at fault.
+    applied, so an error names the file only when the file is at fault. The
+    checked sections are the ones returned; flags apply to them through
+    ``replace``.
     """
     path = getattr(args, "config", None)
     file_cfg = _load_config_file(path) if path else {}
-    seed = file_cfg.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    elif seed < 0:
+    seed_flag = getattr(args, "seed", None)
+    seed = file_cfg.get("seed", 0) if seed_flag is None else seed_flag
+    if seed_flag is None and seed < 0:
         raise ValueError(f"config file {path}: 'seed' is out of range: seed must be >= 0")
-    base = shift_mid(int(seed))
-    for section, cls in CONFIG_SECTIONS.items():
-        defaults = asdict(getattr(base, section))
-        _check_file_values(path, f"{section}.", cls, defaults, file_cfg.get(section, {}))
-    counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
-    _check_file_values(path, "", partial(replace, base), {}, counts)
-
-    domain_kw = _tupled(
-        {**asdict(base.domain), **file_cfg.get("domain", {})},
-        "size_dist",
-        "mean_translation",
-    )
-    shift_kw = _tupled(
-        {**asdict(base.shift), **file_cfg.get("shift", {})}, "mean_translation"
-    )
-    train_kw = {**asdict(base.train), **file_cfg.get("train", {}), **_flag_overrides(args)}
-    if getattr(args, "seed", None) is not None:
-        domain_kw["seed"] = args.seed
-
-    return ExperimentConfig(
-        domain=DomainSpec(**domain_kw),
-        shift=ShiftSpec(**shift_kw),
-        train=TrainConfig(**train_kw),
-        val_events=int(file_cfg.get("val_events", base.val_events)),
-        test_events=int(file_cfg.get("test_events", base.test_events)),
-    )
-
-
-def _config_payload(cfg: ExperimentConfig) -> dict:
-    return {
-        "domain": asdict(cfg.domain),
-        "shift": asdict(cfg.shift),
-        "train": asdict(cfg.train),
-        "val_events": cfg.val_events,
-        "test_events": cfg.test_events,
+    base = shift_mid(seed)
+    sections = {
+        section: _check_file_values(
+            path, f"{section}.", cls, asdict(getattr(base, section)), file_cfg.get(section, {})
+        )
+        for section, cls in CONFIG_SECTIONS.items()
     }
+    counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
+    cfg = _check_file_values(path, "", partial(replace, base), {}, counts)
+    if seed_flag is not None:
+        sections["domain"] = replace(sections["domain"], seed=seed_flag)
+    sections["train"] = replace(sections["train"], **_flag_overrides(args))
+    try:
+        return replace(cfg, **sections)
+    except ValueError as exc:  # the file's sections contradict each other
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
-    payload = _config_payload(cfg)
+    payload = asdict(cfg)
     fingerprint = config_fingerprint(payload)
     _progress("resolved config:")
     _progress(json.dumps(payload, sort_keys=True, indent=2))
@@ -265,9 +244,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    train_file = file_cfg.get("train", {})
-    _check_file_values(args.config, "train.", TrainConfig, asdict(model.config), train_file)
-    model = with_config(model, **{**train_file, **_flag_overrides(args)})
+    train = _check_file_values(
+        args.config, "train.", TrainConfig, asdict(model.config), file_cfg.get("train", {})
+    )
+    model = replace(model, config=replace(train, **_flag_overrides(args)))
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")
     _progress(json.dumps(asdict(model.config), sort_keys=True, indent=2))

@@ -287,14 +287,9 @@ def objective(
 
     grad_main = None  # the main head's gradient at h (at adj @ h with perm)
     if label is not None:
-        c = params.dims.num_classes
-        if not 0 <= label < c:
-            raise ValueError(f"label {label} outside [0, {c})")
         ah = head[0].ah[:, :d] if head is not None else None
         _, cache = forward_main(h, graph, params, ah=ah)
-        y = np.zeros((1, c))
-        y[0, label] = 1.0
-        out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], y)
+        out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], np.array([label]))
         if grad:
             grad_logits = w_m * grad_logits[0]
             params.theta_m_out_w.grad += np.outer(cache.g, grad_logits)
@@ -451,7 +446,7 @@ def params_from_record(rec: dict) -> TardParams:
             )
         return Parameter(_checked_array(name, mats[name]["data"], shape))
 
-    return TardParams(
+    params = TardParams(
         dims=dims,
         theta_e=[
             take(f"theta_e.{i}", (dims.d_in if i == 0 else h, h))
@@ -462,6 +457,10 @@ def params_from_record(rec: dict) -> TardParams:
         theta_m_out_b=take("theta_m.out_b", (1, c)),
         theta_s=[take(f"theta_s.{i}", (h, h)) for i in range(dims.ssl_layers)],
     )
+    unknown = sorted(set(mats) - {name for name, _ in params.named_parameters()})
+    if unknown:
+        raise ValueError(f"checkpoint has unknown matrix {unknown[0]!r}")
+    return params
 
 
 def group_bytes(params: TardParams, group: str) -> bytes:

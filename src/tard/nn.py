@@ -213,27 +213,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels_one_hot: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-softmax(logits) against one-hot labels.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of row-softmax(logits) against integer class labels.
 
-    Log-probabilities come from the max-subtracted log-sum-exp form, so the
-    loss stays finite for any finite logits. Returns (loss, grad_logits).
+    ``logits`` is (batch, classes) and ``labels`` holds one class index per
+    row. Log-probabilities come from the max-subtracted log-sum-exp form, so
+    the loss stays finite for any finite logits. Returns (loss, grad_logits).
     """
-    if logits.shape != labels_one_hot.shape:
-        raise ValueError(f"logits {logits.shape} vs labels {labels_one_hot.shape}")
-    row_sums = labels_one_hot.sum(axis=1)
-    if not (
-        np.all(np.isin(labels_one_hot, (0.0, 1.0))) and np.allclose(row_sums, 1.0)
-    ):
-        raise ValueError("labels must be one-hot rows")
-    b = logits.shape[0]
+    b, c = logits.shape
+    if labels.shape != (b,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels {labels.shape} {labels.dtype} vs logits {logits.shape}")
+    if not np.all((labels >= 0) & (labels < c)):
+        raise ValueError(f"labels {labels.tolist()} outside [0, {c})")
+    rows = np.arange(b)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -(labels_one_hot * log_probs).sum() / b
-    grad = (softmax(logits) - labels_one_hot) / b
-    return float(loss), grad
+    loss = -log_probs[rows, labels].sum() / b
+    grad = softmax(logits)
+    grad[rows, labels] -= 1.0
+    return float(loss), grad / b
 
 
 @dataclass
@@ -260,8 +258,10 @@ def adam_step(named_params: Sequence[tuple[str, Parameter]], state: AdamState) -
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     for name, p in named_params:
-        m = state.m.setdefault(name, np.zeros_like(p.value))
-        v = state.v.setdefault(name, np.zeros_like(p.value))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.value)
+            state.v[name] = np.zeros_like(p.value)
+        m, v = state.m[name], state.v[name]
         g = p.grad
         m *= state.beta1
         m += (1.0 - state.beta1) * g

@@ -28,6 +28,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.val_events < 0 or self.test_events < 1:
             raise ValueError("val_events must be >= 0 and test_events >= 1")
+        width, dim = len(self.shift.mean_translation), self.domain.feature_dim
+        if width not in (0, dim):
+            raise ValueError(
+                f"'shift.mean_translation' has length {width}, "
+                f"but 'domain.feature_dim' is {dim}"
+            )
 
     def val_spec(self) -> DomainSpec:
         return replace(

@@ -49,9 +49,26 @@ def _file_bytes(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def _inputs(workdir, command: str) -> list[str]:
+    """The arguments besides --config and --out that ``command`` needs."""
+    data = str(workdir["data"])
+    return {
+        "gen": [],
+        "train": [data],
+        "ablate": [data],
+        "sweep": [data, "--which", "alpha2"],
+        "eval": [str(workdir["checkpoint"]), str(workdir["data"] / "test.jsonl")],
+    }[command]
+
+
 def _transpose_theta_e0(rec: dict) -> None:
     m = rec["params"]["matrices"]["theta_e.0"]
     m["shape"] = m["shape"][::-1]
+
+
+def _add_theta_s7(rec: dict) -> None:
+    mats = rec["params"]["matrices"]
+    mats["theta_s.7"] = mats["theta_s.0"]
 
 
 class TestGen:
@@ -68,6 +85,21 @@ class TestGen:
         # the test split comes from the shifted domain
         assert meta["target_domain"]["mean_rotation"] == pytest.approx(0.3)
         assert meta["target_domain"]["seed"] != meta["domain"]["seed"]
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--seed", "3", "--alpha2", "0.5"]], ids=["file", "file-and-flags"]
+    )
+    def test_echoed_config_resolves_to_itself(self, workdir, tmp_path, capsys, flags):
+        def echo(config, *flags):
+            out = str(tmp_path / "o")
+            assert main(["gen", "--config", str(config), *flags, "--out", out]) == 0
+            err = capsys.readouterr().err
+            return err.split("resolved config:\n", 1)[1].split("\nwrote ", 1)[0]
+
+        first = echo(workdir["config"], *flags)
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text(first.split("\nconfig_hash=", 1)[0])
+        assert echo(echoed) == first  # the same config and the same config_hash
 
     def test_rerun_is_byte_identical_and_creates_out_dir(self, workdir, tmp_path):
         out = tmp_path / "nested" / "dirs" / "data2"
@@ -92,6 +124,15 @@ class TestGen:
             pytest.param("gen", {"test_events": 0}, ["bad.json", "'test_events'"], id="gen-count"),
             pytest.param("gen", {"seed": -2}, ["bad.json", "'seed'"], id="gen-seed"),
             *(
+                pytest.param(
+                    command,
+                    {"domain": {"feature_dim": 3, "mean_translation": [1, 2, 3]}},
+                    ["bad.json", "'shift.mean_translation'", "'domain.feature_dim' is 3"],
+                    id=f"{command}-cross-section",
+                )
+                for command in ("gen", "train", "ablate", "sweep")
+            ),
+            *(
                 pytest.param(command, payload, ["bad.json", key], id=f"{command}-{case}")
                 for command in ("gen", "eval")
                 for case, payload, key in (
@@ -109,23 +150,21 @@ class TestGen:
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        inputs = []
-        if command == "eval":
-            inputs = [str(workdir["checkpoint"]), str(workdir["data"] / "test.jsonl")]
+        inputs = _inputs(workdir, command)
         code = main([command, *inputs, "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err
         for fragment in named:
             assert fragment in err
+        assert "config_hash=" not in err  # rejected before the config is echoed
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["gen", "eval"])
     def test_bad_flag_with_valid_config_does_not_name_the_file(
         self, workdir, tmp_path, capsys, command
     ):
-        inputs = []
-        if command == "eval":
-            inputs = [str(workdir["checkpoint"]), str(workdir["data"] / "test.jsonl")]
+        inputs = _inputs(workdir, command)
         config = str(workdir["config"])
         args = [command, *inputs, "--config", config, "--alpha1", "-1", "--out", str(tmp_path)]
         assert main(args) == 2
@@ -288,8 +327,16 @@ class TestEval:
             (lambda rec: rec.pop("train_stats"), "train_stats"),
             (_transpose_theta_e0, "theta_e.0"),
             (lambda rec: rec["train_stats"].update(mu=[0.0], eta=[[0.0]]), "train_stats"),
+            (_add_theta_s7, "theta_s.7"),
         ],
-        ids=["config-key", "dims-key", "missing-key", "transposed-matrix", "stats-dim"],
+        ids=[
+            "config-key",
+            "dims-key",
+            "missing-key",
+            "transposed-matrix",
+            "stats-dim",
+            "unknown-matrix",
+        ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(
         self, workdir, tmp_path, capsys, corrupt, named

@@ -206,29 +206,34 @@ class TestSoftmaxCrossEntropy:
         npt.assert_allclose(probs.sum(axis=1), np.ones(7), atol=1e-12)
 
     def test_uniform_two_class_is_ln2(self):
-        loss, _ = softmax_cross_entropy(np.zeros((3, 2)), np.array([[1.0, 0.0]] * 3))
+        loss, _ = softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 0, 0]))
         npt.assert_allclose(loss, np.log(2.0), atol=1e-12)
 
     def test_two_row_hand_value(self):
         # rows softmax to (0.8, 0.2) and (0.4, 0.6); labels are class 0 then 1
         logits = np.log(np.array([[0.8, 0.2], [0.4, 0.6]]))
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _ = softmax_cross_entropy(logits, labels)
+        loss, _ = softmax_cross_entropy(logits, np.array([0, 1]))
         npt.assert_allclose(loss, -(np.log(0.8) + np.log(0.6)) / 2.0, atol=1e-12)
         npt.assert_allclose(loss, 0.3669845875401002, atol=1e-12)
 
     def test_huge_margin_loss_near_zero(self):
         logits = np.array([[500.0, -500.0]])
-        loss, _ = softmax_cross_entropy(logits, np.array([[1.0, 0.0]]))
+        loss, _ = softmax_cross_entropy(logits, np.array([0]))
         assert 0.0 <= loss < 1e-12
 
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros((1, 2)), np.array([[0.5, 0.5]]))
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_rejects_label_out_of_range(self, label):
+        with pytest.raises(ValueError, match="outside"):
+            softmax_cross_entropy(np.zeros((1, 2)), np.array([label]))
+
+    @pytest.mark.parametrize("labels", [[0.0], [0, 1]], ids=["float", "two-for-one-row"])
+    def test_rejects_labels_not_one_index_per_row(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            softmax_cross_entropy(np.zeros((1, 2)), np.array(labels))
 
     def test_gradient_matches_finite_difference(self, rng):
         logits = Parameter(rng.standard_normal((4, 3)))
-        labels = np.eye(3)[[0, 2, 1, 2]].astype(float)
+        labels = np.array([0, 2, 1, 2])
 
         def loss_fn():
             loss, grad = softmax_cross_entropy(logits.value, labels)

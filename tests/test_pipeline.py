@@ -360,6 +360,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=f"{entry}.*non-finite"):
             load_checkpoint(ckpt)
 
+    def test_rejects_unknown_matrix(self, separable_model, tmp_path):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        mats = rec["params"]["matrices"]
+        mats["theta_s.7"] = mats["theta_s.0"]
+        ckpt = tmp_path / "extra.json"
+        ckpt.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match="unknown matrix 'theta_s.7'"):
+            load_checkpoint(ckpt)
+
     def test_with_config_shares_params(self, separable_model):
         model, _ = separable_model
         variant = with_config(model, ttt_steps=0, alpha2=0.0)
