@@ -21,7 +21,7 @@ from .pipeline import (
     ttt_adapt,
     with_config,
 )
-from .presets import ExperimentConfig, separable, shift_mid
+from .presets import ExperimentConfig, shift_mid
 from .reporting import (
     ALPHA_GRID,
     MetricsReport,
@@ -60,7 +60,6 @@ __all__ = [
     "run_ablation",
     "run_sensitivity",
     "save_checkpoint",
-    "separable",
     "shift_mid",
     "to_prop_graph",
     "train_phase",

@@ -317,6 +317,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON experiment config")
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", parents=[common], help="run adaptation ablations")
     p_ablate.add_argument("data_dir", help="directory holding train/test JSONL")
-    p_ablate.add_argument("--seeds", type=int, default=1, help="number of seeds")
+    p_ablate.add_argument("--seeds", type=_positive_int, default=1, help="number of seeds")
     p_ablate.add_argument("--out", required=True, metavar="DIR")
     p_ablate.set_defaults(func=cmd_ablate)
 

@@ -9,15 +9,17 @@ Parameter groups:
   theta_s  SSL head: GCN layers, relu on hidden layers and identity on the
            last so node-vs-readout scores can take either sign
 
-``objective`` computes any mix of the three loss terms and accumulates their
-gradients into ``Parameter.grad`` buffers; callers zero them per step and
-hand the relevant groups to the optimizer.
+Each group is one flat value buffer and one flat grad buffer; ``layout``
+names every matrix, its shape and its place in its group's buffers, and the
+matrices are views into them. ``objective`` computes any mix of the three
+loss terms and accumulates their gradients into the grad buffers; callers
+zero them per step and hand whole groups to the optimizer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,77 +56,90 @@ class ModelDims:
     ssl_layers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("d_in", "d_hidden", "num_classes", "shared_layers", "main_layers", "ssl_layers"):
+        for name in ("d_in", "d_hidden", "shared_layers", "main_layers", "ssl_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
 
+def layout(dims: ModelDims) -> dict[str, list[tuple[str, tuple[int, int]]]]:
+    """Every matrix of the model, by group: its name and shape, in the order
+    the group's flat buffer holds them. A name ending in ``_b`` is a bias."""
+    h, c = dims.d_hidden, dims.num_classes
+
+    def stack(prefix: str, first_in: int, count: int) -> list[tuple[str, tuple[int, int]]]:
+        return [(f"{prefix}.{i}", (first_in if i == 0 else h, h)) for i in range(count)]
+
+    return {
+        GROUP_SHARED: stack("theta_e", dims.d_in, dims.shared_layers),
+        GROUP_MAIN: stack("theta_m", h, dims.main_layers)
+        + [("theta_m.out_w", (h, c)), ("theta_m.out_b", (1, c))],
+        GROUP_SSL: stack("theta_s", h, dims.ssl_layers),
+    }
+
+
 @dataclass
 class TardParams:
-    """The three parameter groups of the Y-structure model."""
+    """The three parameter groups of the Y-structure model.
+
+    Each group is one flat ``Parameter`` (a value and a grad buffer); each
+    matrix is a ``Parameter`` whose value and grad are reshaped views into
+    its group's buffers, laid out by ``layout``.
+    """
 
     dims: ModelDims
-    theta_e: list[Parameter]
-    theta_m_gcn: list[Parameter]
-    theta_m_out_w: Parameter
-    theta_m_out_b: Parameter
-    theta_s: list[Parameter]
+    groups: dict[str, Parameter]
+    theta_e: list[Parameter] = field(init=False)
+    theta_m_gcn: list[Parameter] = field(init=False)
+    theta_m_out_w: Parameter = field(init=False)
+    theta_m_out_b: Parameter = field(init=False)
+    theta_s: list[Parameter] = field(init=False)
+    _named: dict[str, list[tuple[str, Parameter]]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._named = {}
+        for g, entries in layout(self.dims).items():
+            buf, start, views = self.groups[g], 0, []
+            for name, shape in entries:
+                stop = start + shape[0] * shape[1]
+                value = buf.value[start:stop].reshape(shape)
+                views.append((name, Parameter(value, buf.grad[start:stop].reshape(shape))))
+                start = stop
+            self._named[g] = views
+        e, m, s = ([p for _, p in self._named[g]] for g in ALL_GROUPS)
+        self.theta_e, self.theta_s = e, s
+        self.theta_m_gcn, self.theta_m_out_w, self.theta_m_out_b = m[:-2], m[-2], m[-1]
 
     def named_parameters(
         self, groups: Iterable[str] = ALL_GROUPS
     ) -> list[tuple[str, Parameter]]:
+        """Each matrix of ``groups`` as a view into its group's buffers."""
         named: list[tuple[str, Parameter]] = []
         for g in groups:
-            if g == GROUP_SHARED:
-                named += [(f"theta_e.{i}", p) for i, p in enumerate(self.theta_e)]
-            elif g == GROUP_MAIN:
-                named += [(f"theta_m.{i}", p) for i, p in enumerate(self.theta_m_gcn)]
-                named += [
-                    ("theta_m.out_w", self.theta_m_out_w),
-                    ("theta_m.out_b", self.theta_m_out_b),
-                ]
-            elif g == GROUP_SSL:
-                named += [(f"theta_s.{i}", p) for i, p in enumerate(self.theta_s)]
-            else:
+            if g not in self._named:
                 raise ValueError(f"unknown parameter group {g!r}")
+            named += self._named[g]
         return named
 
     def zero_grads(self, groups: Iterable[str] = ALL_GROUPS) -> None:
-        for _, p in self.named_parameters(groups):
-            p.zero_grad()
+        for g in groups:
+            self.groups[g].grad.fill(0.0)
 
 
 def init_params(dims: ModelDims, seed: int | np.random.SeedSequence) -> TardParams:
-    """Glorot-initialized parameters; each group draws from its own stream."""
+    """Glorot-initialized matrices and zero biases; each group draws from its
+    own stream, in ``layout`` order."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss_e, ss_m, ss_s = ss.spawn(3)
-    rng_e = np.random.default_rng(ss_e)
-    rng_m = np.random.default_rng(ss_m)
-    rng_s = np.random.default_rng(ss_s)
-
-    def stack(rng: np.random.Generator, first_in: int, count: int) -> list[Parameter]:
-        layers = []
-        d = first_in
-        for _ in range(count):
-            layers.append(glorot(rng, d, dims.d_hidden))
-            d = dims.d_hidden
-        return layers
-
-    theta_e = stack(rng_e, dims.d_in, dims.shared_layers)
-    theta_m_gcn = stack(rng_m, dims.d_hidden, dims.main_layers)
-    theta_m_out_w = glorot(rng_m, dims.d_hidden, dims.num_classes)
-    theta_m_out_b = Parameter(np.zeros((1, dims.num_classes)))
-    theta_s = stack(rng_s, dims.d_hidden, dims.ssl_layers)
-    return TardParams(
-        dims=dims,
-        theta_e=theta_e,
-        theta_m_gcn=theta_m_gcn,
-        theta_m_out_w=theta_m_out_w,
-        theta_m_out_b=theta_m_out_b,
-        theta_s=theta_s,
-    )
+    groups = {}
+    for (g, entries), ss_g in zip(layout(dims).items(), ss.spawn(len(ALL_GROUPS))):
+        rng = np.random.default_rng(ss_g)
+        mats = [
+            np.zeros(r * c) if name.endswith("_b") else glorot(rng, r, c).value.ravel()
+            for name, (r, c) in entries
+        ]
+        groups[g] = Parameter(np.concatenate(mats))
+    return TardParams(dims, groups)
 
 
 def _run_stack(
@@ -394,12 +409,7 @@ def constraint_loss(
 def snapshot(params: TardParams) -> TardParams:
     """Deep value copy with zeroed gradients; safe to stash and share."""
     return TardParams(
-        dims=params.dims,
-        theta_e=[Parameter(p.value.copy()) for p in params.theta_e],
-        theta_m_gcn=[Parameter(p.value.copy()) for p in params.theta_m_gcn],
-        theta_m_out_w=Parameter(params.theta_m_out_w.value.copy()),
-        theta_m_out_b=Parameter(params.theta_m_out_b.value.copy()),
-        theta_s=[Parameter(p.value.copy()) for p in params.theta_s],
+        params.dims, {g: Parameter(p.value.copy()) for g, p in params.groups.items()}
     )
 
 
@@ -434,9 +444,7 @@ def params_from_record(rec: dict) -> TardParams:
     dims = ModelDims(**rec["dims"])
     mats = rec["matrices"]
 
-    h, c = dims.d_hidden, dims.num_classes
-
-    def take(name: str, shape: tuple[int, int]) -> Parameter:
+    def take(name: str, shape: tuple[int, int]) -> np.ndarray:
         if name not in mats:
             raise ValueError(f"checkpoint is missing matrix {name!r}")
         if tuple(mats[name]["shape"]) != shape:
@@ -444,23 +452,17 @@ def params_from_record(rec: dict) -> TardParams:
                 f"checkpoint matrix {name!r} has shape {tuple(mats[name]['shape'])}, "
                 f"dims give {shape}"
             )
-        return Parameter(_checked_array(name, mats[name]["data"], shape))
+        return _checked_array(name, mats[name]["data"], shape).ravel()
 
-    params = TardParams(
-        dims=dims,
-        theta_e=[
-            take(f"theta_e.{i}", (dims.d_in if i == 0 else h, h))
-            for i in range(dims.shared_layers)
-        ],
-        theta_m_gcn=[take(f"theta_m.{i}", (h, h)) for i in range(dims.main_layers)],
-        theta_m_out_w=take("theta_m.out_w", (h, c)),
-        theta_m_out_b=take("theta_m.out_b", (1, c)),
-        theta_s=[take(f"theta_s.{i}", (h, h)) for i in range(dims.ssl_layers)],
-    )
-    unknown = sorted(set(mats) - {name for name, _ in params.named_parameters()})
+    lay = layout(dims)
+    groups = {
+        g: Parameter(np.concatenate([take(name, shape) for name, shape in entries]))
+        for g, entries in lay.items()
+    }
+    unknown = sorted(set(mats) - {name for entries in lay.values() for name, _ in entries})
     if unknown:
         raise ValueError(f"checkpoint has unknown matrix {unknown[0]!r}")
-    return params
+    return TardParams(dims, groups)
 
 
 def group_bytes(params: TardParams, group: str) -> bytes:

@@ -27,7 +27,7 @@ def assert_all_finite(name: str, arr: np.ndarray) -> None:
 
 @dataclass
 class Parameter:
-    """A trainable matrix and its gradient accumulator (same shape)."""
+    """A trainable array and its gradient accumulator (same shape)."""
 
     value: np.ndarray
     grad: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -43,9 +43,6 @@ class Parameter:
                 f"grad shape {self.grad.shape} != value shape {self.value.shape}"
             )
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Parameter:
     """Glorot-uniform initialized parameter."""
@@ -53,17 +50,14 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Parameter:
     return Parameter(rng.uniform(-limit, limit, size=(rows, cols)))
 
 
-def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    arr = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, without overflow for large |x|."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return out
 
 
 @dataclass
@@ -191,7 +185,7 @@ def contrastive_loss(
         raise ValueError(f"g0 length {g0.shape} does not match {h0.shape}")
     n = h0.shape[0]
     # One sigmoid over both views: positive-pair scores, then negative-pair.
-    pq = np.asarray(sigmoid(np.concatenate([h0 @ g0, h1 @ g0])))
+    pq = sigmoid(np.concatenate([h0 @ g0, h1 @ g0]))
     p, q = pq[:n], pq[n:]
     pos_arg = np.maximum(p, LOG_EPS)
     neg_arg = np.maximum(1.0 - q, LOG_EPS)
@@ -251,7 +245,9 @@ def adam_step(named_params: Sequence[tuple[str, Parameter]], state: AdamState) -
     """One Adam update with bias correction over the given parameters.
 
     Parameters not present in ``named_params`` are left untouched, including
-    their moment buffers.
+    their moment buffers. The update is elementwise, so one flat buffer per
+    parameter group takes one vectorized update with the same bits as
+    updating each of its matrices apart.
     """
     state.step_count += 1
     t = state.step_count

@@ -210,7 +210,7 @@ def train_phase(
     # With alpha1 = 0 the SSL head receives no gradient; leaving it out of the
     # optimizer makes the pure-supervised degeneracy exact by construction.
     opt_groups = ALL_GROUPS if config.alpha1 != 0.0 else (GROUP_SHARED, GROUP_MAIN)
-    named = params.named_parameters(opt_groups)
+    named = [(g, params.groups[g]) for g in opt_groups]
     opt = AdamState(lr=config.train_lr)
 
     log: list[dict] = []
@@ -285,15 +285,16 @@ def ttt_adapt(
     stats = model.train_stats
     pre = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
 
-    named = work.named_parameters((GROUP_SHARED, GROUP_SSL))
+    adapted = (GROUP_SHARED, GROUP_SSL)
+    named = [(g, work.groups[g]) for g in adapted]
     opt = AdamState(lr=cfg.ttt_lr)
     for _ in range(cfg.ttt_steps):
         perm = rng.permutation(graph.num_nodes)
-        work.zero_grads((GROUP_SHARED, GROUP_SSL))
+        work.zero_grads(adapted)
         objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
         adam_step(named, opt)
-        for name, p in named:
-            assert_all_finite(name, p.value)
+        for g, p in named:
+            assert_all_finite(f"theta_{g}", p.value)
 
     post = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
     return work, (pre, post)

@@ -2,8 +2,7 @@
 
 ``shift_mid`` is the calibrated default benchmark: a moderate rotation +
 noise/size shift where test-time adaptation visibly helps but the task stays
-solvable. ``separable`` is an easy, nearly noise-free sanity benchmark for
-training-loop checks.
+solvable.
 """
 
 from __future__ import annotations
@@ -74,21 +73,3 @@ def shift_mid(seed: int = 0) -> ExperimentConfig:
     train = TrainConfig(seed=seed, epochs=20, ttt_steps=30, ttt_lr=5e-3)
     return ExperimentConfig(domain=domain, shift=shift, train=train)
 
-
-def separable(seed: int = 0) -> ExperimentConfig:
-    """Well-separated classes, no shift: training should become near-perfect."""
-    domain = DomainSpec(
-        num_events=60,
-        feature_dim=4,
-        class_mean_separation=6.0,
-        feature_noise_std=0.5,
-        size_dist=(5, 15),
-        branching_bias=0.5,
-        structure_signal_strength=0.0,
-        seed=seed,
-    )
-    shift = ShiftSpec()
-    train = TrainConfig(seed=seed, epochs=50)
-    return ExperimentConfig(
-        domain=domain, shift=shift, train=train, val_events=20, test_events=20
-    )

@@ -11,11 +11,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import pytest
 
-from tard.datagen import generate_domain
+from tard.datagen import DomainSpec, ShiftSpec, generate_domain
 from tard.graphs import PropagationEvent, to_prop_graph
 from tard.model import ModelDims, init_params
 from tard.nn import Parameter
-from tard.presets import shift_mid
+from tard.pipeline import TrainConfig
+from tard.presets import ExperimentConfig, shift_mid
 from tard.reporting import run_ablation
 
 # The acceptance tests record one (criterion, verdict, detail) entry each so
@@ -57,6 +58,27 @@ def make_random_event(
 
 def make_random_graph(rng: np.random.Generator, num_nodes: int, feature_dim: int):
     return to_prop_graph(make_random_event(rng, num_nodes, feature_dim))
+
+
+def separable(seed: int = 0) -> ExperimentConfig:
+    """Well-separated classes, no shift: an easy, nearly noise-free sanity
+    config for training-loop checks, where training should become
+    near-perfect."""
+    domain = DomainSpec(
+        num_events=60,
+        feature_dim=4,
+        class_mean_separation=6.0,
+        feature_noise_std=0.5,
+        size_dist=(5, 15),
+        branching_bias=0.5,
+        structure_signal_strength=0.0,
+        seed=seed,
+    )
+    shift = ShiftSpec()
+    train = TrainConfig(seed=seed, epochs=50)
+    return ExperimentConfig(
+        domain=domain, shift=shift, train=train, val_events=20, test_events=20
+    )
 
 
 @pytest.fixture

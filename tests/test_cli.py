@@ -384,6 +384,18 @@ class TestAblateAndSweep:
         assert (out_a / "ablation.json").exists()
         assert (out_a / "ablation.svg").exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_ablate_seeds_below_one_exits_2_at_parsing(self, workdir, tmp_path, capsys, seeds):
+        out = tmp_path / "ab"
+        args = ["ablate", str(workdir["data"]), "--config", str(workdir["config"])]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--seeds", seeds, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--seeds: must be >= 1, got {seeds}" in captured.err
+        assert "config_hash=" not in captured.out
+        assert not out.exists()
+
     def test_sweep_emits_nine_rows(self, workdir, tmp_path, capsys):
         out = tmp_path / "sw"
         code = main(

@@ -26,6 +26,7 @@ from tard.model import (
     forward_ssl,
     group_bytes,
     init_params,
+    layout,
     objective,
     params_from_record,
     params_to_record,
@@ -91,6 +92,68 @@ class TestDimsAndInit:
     def test_named_parameters_rejects_unknown_group(self, small_params):
         with pytest.raises(ValueError):
             small_params.named_parameters(groups=("x",))
+
+
+class TestLayout:
+    """Each group is one value and one grad buffer; matrices are views."""
+
+    DIMS = ModelDims(
+        d_in=3, d_hidden=5, num_classes=3, shared_layers=2, main_layers=2, ssl_layers=2
+    )
+
+    def test_matrices_are_views_into_group_buffers(self):
+        params = init_params(self.DIMS, seed=2)
+        for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
+            buf = params.groups[g]
+            for name, p in params.named_parameters((g,)):
+                assert np.shares_memory(p.value, buf.value), name
+                assert np.shares_memory(p.grad, buf.grad), name
+
+    def test_matrices_tile_each_buffer_in_layout_order(self):
+        params = init_params(self.DIMS, seed=2)
+        for g, entries in layout(self.DIMS).items():
+            named = params.named_parameters((g,))
+            assert [(n, p.value.shape) for n, p in named] == entries
+            buf = params.groups[g]
+            assert sum(p.value.size for _, p in named) == buf.value.size
+            for arr in (buf.value, buf.grad):
+                arr.fill(0.0)
+            for _, p in named:  # each entry is hit once: no gap, no overlap
+                p.value += 1.0
+                p.grad += 1.0
+            npt.assert_array_equal(buf.value, 1.0)
+            npt.assert_array_equal(buf.grad, 1.0)
+
+    def test_zero_grads_touches_only_the_given_groups(self):
+        params = init_params(self.DIMS, seed=2)
+        for buf in params.groups.values():
+            buf.grad.fill(1.0)
+        params.zero_grads((GROUP_SSL,))
+        for name, p in params.named_parameters((GROUP_SHARED, GROUP_MAIN)):
+            npt.assert_array_equal(p.grad, 1.0, err_msg=name)
+        npt.assert_array_equal(params.groups[GROUP_SSL].grad, 0.0)
+
+    def test_snapshot_shares_no_memory(self):
+        params = init_params(self.DIMS, seed=2)
+        snap = snapshot(params)
+        for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
+            for arr in (params.groups[g].value, params.groups[g].grad):
+                assert not np.shares_memory(snap.groups[g].value, arr)
+                assert not np.shares_memory(snap.groups[g].grad, arr)
+
+    def test_group_adam_step_matches_per_matrix_bits(self, rng):
+        a = init_params(self.DIMS, seed=2)
+        b = snapshot(a)
+        for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
+            grad = rng.standard_normal(a.groups[g].grad.size)
+            a.groups[g].grad[:] = grad
+            b.groups[g].grad[:] = grad
+        state_a, state_b = AdamState(lr=0.1), AdamState(lr=0.1)
+        for _ in range(3):
+            adam_step(list(a.groups.items()), state_a)
+            adam_step(b.named_parameters(), state_b)
+        for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
+            assert group_bytes(a, g) == group_bytes(b, g)
 
 
 class TestForwardShared:

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_random_event
+from conftest import make_random_event, separable
 from tard.datagen import ShiftSpec, apply_shift, generate_domain
 from tard.graphs import to_prop_graph
 from tard.model import (
@@ -34,7 +34,6 @@ from tard.pipeline import (
     ttt_adapt,
     with_config,
 )
-from tard.presets import separable
 
 
 def _events(n=8, nodes=6, dim=4, seed=0):
