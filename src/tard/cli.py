@@ -22,6 +22,7 @@ from pathlib import Path
 from .datagen import DomainSpec, ShiftSpec, generate_domain, read_dataset, write_dataset
 from .graphs import InvalidEventError
 from .pipeline import (
+    ADAPTATION_MODES,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -31,6 +32,7 @@ from .pipeline import (
 from .presets import ExperimentConfig, shift_mid
 from .reporting import (
     ABLATION_VARIANTS,
+    SWEEPABLE,
     compute_metrics,
     config_fingerprint,
     emit_report,
@@ -332,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha2", type=float, help="alignment weight during adaptation")
     common.add_argument("--ttt-steps", type=int, dest="ttt_steps", help="adaptation steps per event")
     common.add_argument("--ttt-lr", type=float, dest="ttt_lr", help="adaptation learning rate")
-    common.add_argument(
-        "--mode", choices=("episodic", "online"), help="adaptation mode"
-    )
+    common.add_argument("--mode", choices=ADAPTATION_MODES, help="adaptation mode")
 
     parser = argparse.ArgumentParser(
         prog="tard",
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="hyperparameter sensitivity")
     p_sweep.add_argument("data_dir", help="directory holding train/test JSONL")
-    p_sweep.add_argument("--which", choices=("alpha1", "alpha2"), required=True)
+    p_sweep.add_argument("--which", choices=SWEEPABLE, required=True)
     p_sweep.add_argument("--out", required=True, metavar="DIR")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

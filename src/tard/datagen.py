@@ -32,7 +32,8 @@ class DomainSpec:
 
     ``mean_rotation`` (radians, applied in the plane of the first two feature
     coordinates) and ``mean_translation`` position the class-mean axis; they
-    start neutral for a source domain and are populated by ``apply_shift``.
+    start neutral for a source domain (a ``None`` translation is no offset)
+    and are populated by ``apply_shift``.
     """
 
     num_events: int
@@ -71,17 +72,15 @@ class DomainSpec:
             raise ValueError("mean_rotation must be finite")
         if self.mean_rotation != 0.0 and self.feature_dim < 2:
             raise ValueError("mean_rotation needs feature_dim >= 2")
-        translation = self.mean_translation
-        if translation is None:
-            translation = (0.0,) * self.feature_dim
-        translation = tuple(float(v) for v in translation)
-        if len(translation) != self.feature_dim:
-            raise ValueError(
-                f"mean_translation has length {len(translation)}, expected {self.feature_dim}"
-            )
-        if not all(math.isfinite(v) for v in translation):
-            raise ValueError("mean_translation must be finite")
-        object.__setattr__(self, "mean_translation", translation)
+        if self.mean_translation is not None:
+            translation = tuple(float(v) for v in self.mean_translation)
+            if len(translation) != self.feature_dim:
+                raise ValueError(
+                    f"mean_translation has length {len(translation)}, expected {self.feature_dim}"
+                )
+            if not all(math.isfinite(v) for v in translation):
+                raise ValueError("mean_translation must be finite")
+            object.__setattr__(self, "mean_translation", translation)
 
     def class_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Antipodal means for class 0 / class 1, rotated then translated."""
@@ -89,7 +88,7 @@ class DomainSpec:
         axis[0] = math.cos(self.mean_rotation)
         if self.feature_dim > 1:
             axis[1] = math.sin(self.mean_rotation)
-        offset = np.asarray(self.mean_translation, dtype=np.float64)
+        offset = np.array(self.mean_translation or (0.0,) * self.feature_dim)
         half = 0.5 * self.class_mean_separation * axis
         return offset - half, offset + half
 
@@ -177,19 +176,22 @@ def apply_shift(spec: DomainSpec, shift: ShiftSpec) -> DomainSpec:
     shifted branching, and a freshly derived seed."""
     if shift.rotation_angle != 0.0 and spec.feature_dim < 2:
         raise ValueError("rotation shift needs feature_dim >= 2")
-    translation = shift.mean_translation or (0.0,) * spec.feature_dim
-    if len(translation) != spec.feature_dim:
-        raise ValueError(
-            f"shift translation has length {len(translation)}, expected {spec.feature_dim}"
-        )
-    base_translation = spec.mean_translation or (0.0,) * spec.feature_dim
+    translation = spec.mean_translation
+    if shift.mean_translation:
+        if len(shift.mean_translation) != spec.feature_dim:
+            raise ValueError(
+                f"shift translation has length {len(shift.mean_translation)}, "
+                f"expected {spec.feature_dim}"
+            )
+        base = translation or (0.0,) * spec.feature_dim
+        translation = tuple(b + t for b, t in zip(base, shift.mean_translation))
     lo, hi = spec.size_dist
     new_lo = max(1, round(lo * shift.size_scale_factor))
     new_hi = max(new_lo, round(hi * shift.size_scale_factor))
     return replace(
         spec,
         mean_rotation=spec.mean_rotation + shift.rotation_angle,
-        mean_translation=tuple(b + t for b, t in zip(base_translation, translation)),
+        mean_translation=translation,
         feature_noise_std=spec.feature_noise_std * shift.noise_scale_factor,
         size_dist=(new_lo, new_hi),
         branching_bias=min(1.0, max(0.0, spec.branching_bias + shift.branching_shift)),

@@ -2,7 +2,8 @@
 
 Events are reply cascades: node 0 is the source post, later nodes are
 responsive posts, and every node carries a feature vector. Runtime graphs
-hold a normalized adjacency matrix ready for GCN layers.
+hold a normalized adjacency matrix and make every propagation product of
+the GCN layers.
 """
 
 from __future__ import annotations
@@ -68,23 +69,43 @@ class PropagationEvent:
 class PropGraph:
     """Runtime form of an event: normalized adjacency plus feature matrix.
 
-    Dense matrices throughout. ``ax = adj_norm @ features`` is computed once
-    at construction, since the extractor's first layer reads it on every
-    pass over the original view; treat the arrays as read-only afterwards.
-    Measured on a 2-vCPU VM with OpenBLAS, evaluating one event (30
-    adaptation steps, d_hidden 16) takes about 40 ms at 300 nodes and 0.9 s
-    at 2000 nodes, where the adjacency alone holds 32 MB. The dense
-    products and the adjacency grow as N^2, so cascades of many thousands
-    of posts need a sparse propagation path.
+    The graph owns propagation, the ``Â·H`` half of every GCN layer:
+    ``propagate(x)`` is ``adj_norm @ x`` and ``propagate_back(g)`` is
+    ``adj_norm.T @ g``, and no other module reads the adjacency. It is dense
+    N x N, checked against the feature rows at construction. ``ax`` is
+    ``propagate(features)``, computed once, since the extractor's first
+    layer reads it on every pass over the original view; treat the arrays as
+    read-only afterwards. Measured on a 2-vCPU VM with OpenBLAS, evaluating
+    one event (30 adaptation steps, d_hidden 16) takes about 40 ms at 300
+    nodes and 0.9 s at 2000 nodes, where the adjacency alone holds 32 MB.
+    The dense products and the adjacency grow as N^2, so cascades of many
+    thousands of posts need a sparse propagation path.
     """
 
-    num_nodes: int
     adj_norm: np.ndarray
     features: np.ndarray
     ax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ax", self.adj_norm @ self.features)
+        n = self.features.shape[0]
+        if self.adj_norm.shape != (n, n):
+            raise ValueError(
+                f"adjacency {self.adj_norm.shape} does not match features {self.features.shape}"
+            )
+        object.__setattr__(self, "ax", self.propagate(self.features))
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.features.shape[0])
+
+    def propagate(self, x: np.ndarray) -> np.ndarray:
+        """``adj_norm @ x``: each node mixes its neighbours' rows of ``x``."""
+        return self.adj_norm @ x
+
+    def propagate_back(self, g: np.ndarray) -> np.ndarray:
+        """``adj_norm.T @ g``: the gradient at ``x`` of ``propagate(x)``,
+        given the gradient ``g`` at its output."""
+        return self.adj_norm.T @ g
 
 
 def build_adjacency(edges: Sequence[tuple[int, int]], n: int) -> np.ndarray:
@@ -143,7 +164,6 @@ def to_prop_graph(event: PropagationEvent, mode: AdjacencyMode = "undirected") -
     """Build the runtime graph for an event (adjacency + normalization)."""
     a = build_adjacency(event.edges, event.num_nodes)
     return PropGraph(
-        num_nodes=event.num_nodes,
         adj_norm=normalize_adjacency(a, mode),
         features=np.array(event.features, dtype=np.float64),
     )

@@ -9,6 +9,10 @@ Parameter groups:
   theta_s  SSL head: GCN layers, relu on hidden layers and identity on the
            last so node-vs-readout scores can take either sign
 
+Every GCN layer is the graph's propagation (``PropGraph.propagate``, and
+``propagate_back`` on the way back) followed by the dense half in ``nn``;
+the stack helpers here call the two in turn.
+
 Each group is one flat value buffer and one flat grad buffer; ``layout``
 names every matrix, its shape and its place in its group's buffers, and the
 matrices are views into them. ``objective`` computes any mix of the three
@@ -143,47 +147,44 @@ def init_params(dims: ModelDims, seed: int | np.random.SeedSequence) -> TardPara
 
 
 def _run_stack(
-    adj: np.ndarray,
-    x: np.ndarray,
+    graph: PropGraph,
+    ah: np.ndarray,
     layers: Sequence[Parameter],
     activations: Sequence[str],
     *,
     views: int = 1,
-    ah: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[GcnCache]]:
-    """Forward through a stack; ``ah`` (= adj @ x, when known) feeds the first layer."""
-    h = x
+    """Forward through a stack whose first layer reads ``ah``, its input
+    already propagated over the graph; each later layer propagates the
+    output of the one before."""
     caches = []
-    for p, act in zip(layers, activations):
-        h, cache = gcn_forward(adj, h, p.value, act, views=views, ah=ah)  # type: ignore[arg-type]
+    for i, (p, act) in enumerate(zip(layers, activations)):
+        if i > 0:
+            ah = graph.propagate(h)
+        h, cache = gcn_forward(ah, p.value, act, views=views)  # type: ignore[arg-type]
         caches.append(cache)
-        ah = None
     return h, caches
 
 
 def _backward_stack(
+    graph: PropGraph,
     caches: Sequence[GcnCache],
     layers: Sequence[Parameter],
     grad_out: np.ndarray,
     *,
     input_grad: bool = True,
-    extra: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Backward through a stack, last layer first; each view's grad_w adds
-    to its layer's ``.grad`` in view order. ``input_grad`` and ``extra`` are
-    the first layer's (see ``gcn_backward``), whose input gradient is
-    returned."""
+    to its layer's ``.grad`` in view order. Returns the gradient at the
+    first layer's propagated input, or None without ``input_grad``; carrying
+    it back through the graph is the caller's choice."""
     for i in reversed(range(len(caches))):
-        first = i == 0
-        grad_out, grad_ws = gcn_backward(
-            caches[i],
-            grad_out,
-            input_grad=input_grad or not first,
-            extra=extra if first else None,
-        )
+        grad_ah, grad_ws = gcn_backward(caches[i], grad_out, input_grad=input_grad or i > 0)
         for grad_w in grad_ws:
             layers[i].grad += grad_w
-    return grad_out
+        if i > 0:
+            grad_out = graph.propagate_back(grad_ah)
+    return grad_ah
 
 
 def forward_shared(
@@ -195,7 +196,7 @@ def forward_shared(
             f"feature dim {graph.features.shape[1]} does not match model d_in {params.dims.d_in}"
         )
     acts = ["relu"] * len(params.theta_e)
-    return _run_stack(graph.adj_norm, graph.features, params.theta_e, acts, ah=graph.ax)
+    return _run_stack(graph, graph.ax, params.theta_e, acts)
 
 
 @dataclass
@@ -213,9 +214,11 @@ def forward_main(
     ah: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MainCache]:
     """Class probabilities from the classification head. ``ah`` is
-    ``adj_norm @ shared_h`` when the caller already has it."""
+    ``graph.propagate(shared_h)`` when the caller already has it."""
+    if ah is None:
+        ah = graph.propagate(shared_h)
     acts = ["relu"] * len(params.theta_m_gcn)
-    h, caches = _run_stack(graph.adj_norm, shared_h, params.theta_m_gcn, acts, ah=ah)
+    h, caches = _run_stack(graph, ah, params.theta_m_gcn, acts)
     g = mean_readout(h)
     logits = g @ params.theta_m_out_w.value + params.theta_m_out_b.value[0]
     probs = softmax(logits[None, :])[0]
@@ -230,22 +233,17 @@ def forward_ssl(
     ``shared_h`` is the extractor output on the original view. The corrupted
     view keeps the adjacency, permutes feature rows by ``perm`` and runs
     through the extractor here. Both views then pass each head layer side by
-    side, so each layer makes one adjacency product for the two. Returns
+    side, so each layer makes one propagation product for the two. Returns
     (h0, h1, g0, caches) where g0 is the mean readout of h0 and caches holds
     the two-view head caches and the shuffled-view extractor caches.
     """
     acts = ["relu"] * (len(params.theta_s) - 1) + ["identity"]
     x1 = graph.features[np.asarray(perm, dtype=np.intp)]
     h_sh1, shared1 = _run_stack(
-        graph.adj_norm, x1, params.theta_e, ["relu"] * len(params.theta_e)
+        graph, graph.propagate(x1), params.theta_e, ["relu"] * len(params.theta_e)
     )
-    both, head = _run_stack(
-        graph.adj_norm,
-        np.concatenate([shared_h, h_sh1], axis=1),
-        params.theta_s,
-        acts,
-        views=2,
-    )
+    ah = graph.propagate(np.concatenate([shared_h, h_sh1], axis=1))
+    both, head = _run_stack(graph, ah, params.theta_s, acts, views=2)
     d = shared_h.shape[1]
     h0, h1 = both[:, :d], both[:, d:]
     return h0, h1, mean_readout(h0), (head, shared1)
@@ -286,11 +284,11 @@ def objective(
 
     Extractor backward passes run in a fixed order: main branch, original
     view (SSL upstream plus the penalty), shuffled view. Each distinct
-    adjacency product is made once: the extractor's first layer reads the
+    propagation product is made once: the extractor's first layer reads the
     graph's cached ``ax`` and computes no input gradient, and with both
     heads the classification head's first layer reads ``adj @ h`` from the
-    SSL head's two-view product and joins its transposed product on the way
-    back.
+    SSL head's two-view product, and its gradient there joins the SSL head's
+    one ``propagate_back`` as the leading columns.
     """
     h, sh_caches = forward_shared(graph, params)
     d = h.shape[1]
@@ -300,7 +298,7 @@ def objective(
         h0, h1, g0, (head, sh1_caches) = forward_ssl(h, graph, params, perm)
         out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0)
 
-    grad_main = None  # the main head's gradient at h (at adj @ h with perm)
+    grad_main = None  # the main head's gradient at adj @ h
     if label is not None:
         ah = head[0].ah[:, :d] if head is not None else None
         _, cache = forward_main(h, graph, params, ah=ah)
@@ -311,24 +309,29 @@ def objective(
             params.theta_m_out_b.grad += grad_logits[None, :]
             grad_g = params.theta_m_out_w.value @ grad_logits
             grad_h = mean_readout_backward(grad_g, cache.num_nodes)
-            grad_main = _backward_stack(cache.gcn_caches, params.theta_m_gcn, grad_h)
+            grad_main = _backward_stack(graph, cache.gcn_caches, params.theta_m_gcn, grad_h)
 
     grad_h0 = grad_h1 = None  # upstream at the extractor output, per view
     if perm is not None and grad:
         # g0 = mean(h0), so the readout gradient folds back into h0.
         g_h0 = g_h0 + mean_readout_backward(g_g0, h0.shape[0])
         up = np.concatenate([w_s * g_h0, w_s * g_h1], axis=1)
-        grads = _backward_stack(head, params.theta_s, up, extra=grad_main)
-        if grad_main is not None:
+        grads = _backward_stack(graph, head, params.theta_s, up)
+        if grad_main is None:
+            grads = graph.propagate_back(grads)
+        else:
+            grads = graph.propagate_back(np.concatenate([grad_main, grads], axis=1))
             grad_main, grads = grads[:, :d], grads[:, d:]
         grad_h0, grad_h1 = grads[:, :d], grads[:, d:]
+    elif grad_main is not None:
+        grad_main = graph.propagate_back(grad_main)
     if stats is not None:
         out.l_c, grad_c, _ = constraint_loss(stats, h)
         if grad and w_c != 0.0:
             grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
     for g_h, caches in ((grad_main, sh_caches), (grad_h0, sh_caches), (grad_h1, sh1_caches)):
         if g_h is not None:
-            _backward_stack(caches, params.theta_e, g_h, input_grad=False)
+            _backward_stack(graph, caches, params.theta_e, g_h, input_grad=False)
     return out
 
 

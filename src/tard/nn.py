@@ -1,5 +1,5 @@
-"""Dense numeric kernel: GCN layer with hand-derived gradients, mean readout,
-contrastive loss, softmax cross-entropy, and Adam.
+"""Dense numeric kernel: the dense half of a GCN layer with hand-derived
+gradients, mean readout, contrastive loss, softmax cross-entropy, and Adam.
 
 Everything runs in float64. Each ``*_backward`` is the exact gradient of the
 matching forward map, which the tests verify by central differences.
@@ -64,77 +64,47 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class GcnCache:
     """Intermediates of one gcn_forward call, enough for the exact backward."""
 
-    adj_norm: np.ndarray
     w: np.ndarray
-    ah: np.ndarray  # adj_norm @ h, one block per view
+    ah: np.ndarray  # the propagated input, one block per view
     z: np.ndarray  # pre-activation, block v = ah block v @ w
     activation: Activation
-    ah_given: bool = False  # ah came from the caller, not from this layer
-
-
-def _blocks(m: np.ndarray, width: int) -> list[np.ndarray]:
-    """The column blocks of ``m``, ``width`` columns each."""
-    if m.shape[1] == width:
-        return [m]
-    return [m[:, i : i + width] for i in range(0, m.shape[1], width)]
 
 
 def gcn_forward(
-    adj_norm: np.ndarray,
-    h: np.ndarray,
-    w: np.ndarray,
-    activation: Activation = "relu",
-    *,
-    views: int = 1,
-    ah: np.ndarray | None = None,
+    ah: np.ndarray, w: np.ndarray, activation: Activation = "relu", *, views: int = 1
 ) -> tuple[np.ndarray, GcnCache]:
-    """One graph convolution: act(adj_norm @ h @ w), for ``views`` inputs at once.
+    """The dense half of one graph convolution: act(ah @ w), for ``views``
+    inputs at once.
 
-    ``h`` holds the views side by side, ``w.shape[0]`` columns each, and so
-    does the output; the adjacency multiplies all of them in one product.
-    A caller that already has ``adj_norm @ h`` passes it as ``ah``; the
-    layer then makes no adjacency product at all, and its input is ``ah``.
+    ``ah`` is the layer input already propagated over the graph
+    (``PropGraph.propagate``). It holds the views side by side,
+    ``w.shape[0]`` columns each, and so does the output.
     """
-    if adj_norm.shape[0] != adj_norm.shape[1] or adj_norm.shape[1] != h.shape[0]:
-        raise ValueError(f"adjacency {adj_norm.shape} does not match h {h.shape}")
-    if h.shape[1] != views * w.shape[0]:
-        raise ValueError(f"h {h.shape} does not match w {w.shape} for {views} view(s)")
-    ah_given = ah is not None
-    if ah is None:
-        ah = adj_norm @ h
+    d = w.shape[0]
+    if ah.shape[1] != views * d:
+        raise ValueError(f"input {ah.shape} does not match w {w.shape} for {views} view(s)")
     if views == 1:
         z = ah @ w
     else:
-        z = np.concatenate([block @ w for block in _blocks(ah, w.shape[0])], axis=1)
+        z = np.concatenate([ah[:, v * d : (v + 1) * d] @ w for v in range(views)], axis=1)
     if activation == "relu":
         out = np.maximum(z, 0.0)
     elif activation == "identity":
         out = z
     else:
         raise ValueError(f"unknown activation {activation!r}")
-    cache = GcnCache(
-        adj_norm=adj_norm, w=w, ah=ah, z=z, activation=activation, ah_given=ah_given
-    )
-    return out, cache
+    return out, GcnCache(w=w, ah=ah, z=z, activation=activation)
 
 
 def gcn_backward(
-    cache: GcnCache,
-    upstream: np.ndarray,
-    *,
-    input_grad: bool = True,
-    extra: np.ndarray | None = None,
+    cache: GcnCache, upstream: np.ndarray, *, input_grad: bool = True
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Gradients of gcn_forward w.r.t. its input and w.
+    """Gradients of gcn_forward w.r.t. ``ah`` and w.
 
-    The adjacency is treated as a constant. Returns (grad_input, grad_ws):
-    one grad_w per view, in view order, for the caller to accumulate one by
-    one; the input gradient holds the views side by side, and is None when
-    ``input_grad`` is false. The input is ``h``, or ``ah`` when the forward
-    pass was handed ``ah``; then no adjacency product is made here either.
-    ``extra`` holds the gradients at ``ah`` of other layers that read this
-    layer's ``ah``: they share its transposed adjacency product and lead
-    the columns of the returned gradient.
+    Returns (grad_ah, grad_ws): one grad_w per view, in view order, for the
+    caller to accumulate one by one; grad_ah holds the views side by side,
+    and is None when ``input_grad`` is false. The caller carries grad_ah
+    back through the graph (``PropGraph.propagate_back``).
     """
     if upstream.shape != cache.z.shape:
         raise ValueError(f"upstream {upstream.shape} does not match output {cache.z.shape}")
@@ -144,17 +114,15 @@ def gcn_backward(
         dz = upstream
     d_in, d_out = cache.w.shape
     grad_ws: list[np.ndarray] = []
-    grad_ah = [] if extra is None else [extra]
-    for ah, g in zip(_blocks(cache.ah, d_in), _blocks(dz, d_out)):
-        grad_ws.append(ah.T @ g)
+    grad_ah = []
+    for v in range(dz.shape[1] // d_out):
+        g = dz[:, v * d_out : (v + 1) * d_out]
+        grad_ws.append(cache.ah[:, v * d_in : (v + 1) * d_in].T @ g)
         if input_grad:
             grad_ah.append(g @ cache.w.T)
     if not input_grad:
         return None, grad_ws
-    grad_ah = grad_ah[0] if len(grad_ah) == 1 else np.concatenate(grad_ah, axis=1)
-    if cache.ah_given:
-        return grad_ah, grad_ws
-    return cache.adj_norm.T @ grad_ah, grad_ws
+    return grad_ah[0] if len(grad_ah) == 1 else np.concatenate(grad_ah, axis=1), grad_ws
 
 
 def mean_readout(h: np.ndarray) -> np.ndarray:

@@ -132,6 +132,12 @@ class TestGen:
                 )
                 for command in ("gen", "train", "ablate", "sweep")
             ),
+            pytest.param(
+                "gen",
+                {"domain": {"feature_dim": 3}},
+                ["bad.json", "'shift.mean_translation'", "'domain.feature_dim' is 3"],
+                id="gen-feature-dim-only",
+            ),
             *(
                 pytest.param(command, payload, ["bad.json", key], id=f"{command}-{case}")
                 for command in ("gen", "eval")
@@ -159,6 +165,17 @@ class TestGen:
             assert fragment in err
         assert "config_hash=" not in err  # rejected before the config is echoed
         assert not (tmp_path / "o").exists()
+
+    def test_feature_dim_without_translations_generates(self, tmp_path):
+        config = tmp_path / "dim3.json"
+        config.write_text(
+            json.dumps({"domain": {"feature_dim": 3}, "shift": {"mean_translation": []}})
+        )
+        out = tmp_path / "o"
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["feature_dim"] == 3
+        assert meta["domain"]["mean_translation"] is None
 
     @pytest.mark.parametrize("command", ["gen", "eval"])
     def test_bad_flag_with_valid_config_does_not_name_the_file(

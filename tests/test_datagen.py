@@ -74,6 +74,13 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             _spec(mean_translation=(1.0, 2.0))
 
+    def test_no_translation_stays_none_and_means_no_offset(self):
+        spec = _spec()
+        assert spec.mean_translation is None
+        zero = _spec(mean_translation=(0.0,) * 4)
+        for a, b in zip(spec.class_means(), zero.class_means()):
+            assert a.tobytes() == b.tobytes()
+
     def test_class_means_antipodal(self):
         spec = _spec(class_mean_separation=2.0)
         m0, m1 = spec.class_means()

@@ -1,4 +1,6 @@
-"""Graph container and adjacency normalization."""
+"""Graph container, adjacency normalization and propagation."""
+
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -6,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tard
 from tard.graphs import (
     InvalidEventError,
     PropagationEvent,
+    PropGraph,
     build_adjacency,
     normalize_adjacency,
     to_prop_graph,
@@ -146,3 +150,33 @@ class TestToPropGraph:
         g = to_prop_graph(ev)
         g.features[0, 0] = 99.0
         assert ev.features[0, 0] == 1.0
+
+
+class TestPropGraph:
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 1\)"):
+            PropGraph(adj_norm=np.eye(3)[:2], features=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2\)"):
+            PropGraph(adj_norm=np.eye(2), features=np.zeros((3, 2)))
+
+    def test_num_nodes_reads_the_feature_rows(self):
+        assert PropGraph(adj_norm=np.eye(3), features=np.zeros((3, 2))).num_nodes == 3
+
+    def test_propagation_is_the_adjacency_and_its_transpose(self):
+        rng = np.random.default_rng(3)
+        adj = rng.random((4, 4))
+        g = PropGraph(adj_norm=adj, features=rng.standard_normal((4, 2)))
+        x = rng.standard_normal((4, 3))
+        assert g.propagate(x).tobytes() == (adj @ x).tobytes()
+        assert g.propagate_back(x).tobytes() == (adj.T @ x).tobytes()
+
+    def test_only_graphs_names_the_adjacency(self):
+        # The adjacency format is private to graphs.py, so changing it (say,
+        # to an edge list for large cascades) touches no other module.
+        package = Path(tard.__file__).parent
+        named = [
+            str(path.relative_to(package))
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "graphs.py" and "adj_norm" in path.read_text(encoding="utf-8")
+        ]
+        assert named == []

@@ -41,7 +41,6 @@ from tard.pipeline import predict
 def _line_graph(features):
     """Two-node path with the symmetric normalized adjacency [[.5,.5],[.5,.5]]."""
     return PropGraph(
-        num_nodes=2,
         adj_norm=np.full((2, 2), 0.5),
         features=np.asarray(features, dtype=np.float64),
     )
@@ -223,9 +222,7 @@ class TestForwardMain:
         g = make_random_graph(rng, n, 3)
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        g_perm = PropGraph(
-            num_nodes=n, adj_norm=p @ g.adj_norm @ p.T, features=g.features[perm]
-        )
+        g_perm = PropGraph(adj_norm=p @ g.adj_norm @ p.T, features=g.features[perm])
         probs_a, _ = forward_main(forward_shared(g, params)[0], g, params)
         probs_b, _ = forward_main(forward_shared(g_perm, params)[0], g_perm, params)
         npt.assert_allclose(probs_a, probs_b, atol=1e-12)
@@ -250,7 +247,6 @@ class TestForwardSsl:
         # Shuffling identical feature rows is a no-op, so the corrupted
         # view embeds exactly like the clean one.
         g = PropGraph(
-            num_nodes=4,
             adj_norm=make_random_graph(rng, 4, 1).adj_norm,
             features=np.tile([[0.3, -1.2, 0.0, 2.0]], (4, 1)),
         )
@@ -404,7 +400,6 @@ class TestAdjacencyProducts:
     def _graphs(self, rng):
         plain = make_random_graph(rng, 7, 4)
         counted = PropGraph(
-            num_nodes=7,
             adj_norm=plain.adj_norm.view(_CountingAdjacency),
             features=plain.features,
         )

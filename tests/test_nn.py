@@ -1,4 +1,5 @@
-"""Numeric kernel: GCN layer, readout, contrastive loss, cross-entropy, Adam."""
+"""Numeric kernel: the dense half of the GCN layer, readout, contrastive
+loss, cross-entropy, Adam."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_check
+from tard.graphs import PropGraph
 from tard.nn import (
     LOG_EPS,
     AdamState,
@@ -25,30 +27,31 @@ from tard.nn import (
 )
 
 
+def _graph(adj):
+    """A PropGraph over ``adj``; only its propagation is used."""
+    return PropGraph(adj_norm=adj, features=np.zeros((adj.shape[0], 1)))
+
+
 class TestGcnForward:
     def test_identity_passthrough(self):
-        h = np.array([[1.0, -2.0], [3.0, 4.0]])
-        out, _ = gcn_forward(np.eye(2), h, np.eye(2), activation="identity")
-        npt.assert_array_equal(out, h)
+        ah = np.array([[1.0, -2.0], [3.0, 4.0]])
+        out, _ = gcn_forward(ah, np.eye(2), activation="identity")
+        npt.assert_array_equal(out, ah)
 
     def test_hand_product(self):
-        adj = np.array([[0.5, 0.5], [0.5, 0.5]])
-        h = np.array([[1.0], [3.0]])
-        w = np.array([[2.0]])
-        out, _ = gcn_forward(adj, h, w, activation="identity")
-        npt.assert_allclose(out, [[4.0], [4.0]], atol=1e-15)
+        ah = np.array([[1.0, 0.5], [3.0, -1.0]])
+        w = np.array([[2.0], [4.0]])
+        out, _ = gcn_forward(ah, w, activation="identity")
+        npt.assert_allclose(out, [[4.0], [2.0]], atol=1e-15)
 
     def test_relu_clamps_negative(self):
-        out, _ = gcn_forward(np.eye(1), np.array([[-3.0]]), np.eye(1))
+        out, _ = gcn_forward(np.array([[-3.0]]), np.eye(1))
         npt.assert_array_equal(out, [[0.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gcn_forward(np.eye(2), np.zeros((3, 2)), np.eye(2))
 
     @given(st.integers(1, 6), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_node_permutation_equivariance(self, n, seed):
+        # The whole layer: propagation over the graph, then the dense half.
         rng = np.random.default_rng(seed)
         adj = rng.random((n, n))
         adj = (adj + adj.T) / 2
@@ -56,86 +59,66 @@ class TestGcnForward:
         w = rng.standard_normal((3, 2))
         perm = rng.permutation(n)
         p = np.eye(n)[perm]
-        base, _ = gcn_forward(adj, h, w)
-        permuted, _ = gcn_forward(p @ adj @ p.T, p @ h, w)
+        base, _ = gcn_forward(_graph(adj).propagate(h), w)
+        permuted, _ = gcn_forward(_graph(p @ adj @ p.T).propagate(p @ h), w)
         npt.assert_allclose(permuted, p @ base, atol=1e-12)
 
 
 class TestGcnBackward:
     def test_zero_upstream(self):
-        out, cache = gcn_forward(np.eye(2), np.ones((2, 2)), np.ones((2, 2)))
-        gh, (gw,) = gcn_backward(cache, np.zeros_like(out))
-        npt.assert_array_equal(gh, 0.0)
+        out, cache = gcn_forward(np.ones((2, 2)), np.ones((2, 2)))
+        g_ah, (gw,) = gcn_backward(cache, np.zeros_like(out))
+        npt.assert_array_equal(g_ah, 0.0)
         npt.assert_array_equal(gw, 0.0)
 
     def test_single_node_grad_w_is_outer_product(self):
-        h = np.array([[2.0, -1.0]])
+        ah = np.array([[2.0, -1.0]])
         w = np.array([[1.0, 0.5], [0.25, -2.0]])
-        out, cache = gcn_forward(np.eye(1), h, w, activation="identity")
+        out, cache = gcn_forward(ah, w, activation="identity")
         upstream = np.array([[1.0, 3.0]])
         _, (gw,) = gcn_backward(cache, upstream)
-        npt.assert_allclose(gw, h.T @ upstream, atol=1e-15)
+        npt.assert_allclose(gw, ah.T @ upstream, atol=1e-15)
 
     def test_finite_difference(self, rng):
-        adj = np.array([[0.5, 0.5, 0.0], [0.5, 1 / 3, 0.0], [0.0, 0.0, 1.0]])
+        # The whole layer: the gradient at h is propagate_back of the
+        # dense half's gradient at adj @ h. The adjacency is not symmetric,
+        # so a missing transpose shows.
+        graph = _graph(np.array([[0.5, 0.5, 0.0], [0.25, 1 / 3, 0.0], [0.0, 0.2, 1.0]]))
         h = Parameter(rng.standard_normal((3, 4)))
         w = Parameter(rng.standard_normal((4, 2)))
         target = rng.standard_normal((3, 2))
 
         def loss_fn():
-            out, cache = gcn_forward(adj, h.value, w.value)
+            out, cache = gcn_forward(graph.propagate(h.value), w.value)
             diff = out - target
-            gh, (gw,) = gcn_backward(cache, 2.0 * diff)
-            return float((diff**2).sum()), {"h": gh, "w": gw}
+            g_ah, (gw,) = gcn_backward(cache, 2.0 * diff)
+            return float((diff**2).sum()), {"h": graph.propagate_back(g_ah), "w": gw}
 
         report = finite_difference_check(loss_fn, [("h", h), ("w", w)])
         assert report.ok, f"max rel error {report.max_rel_error}"
 
     def test_two_views_match_one_view_calls(self, rng):
-        adj = rng.random((5, 5))
-        h0, h1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        ah0, ah1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
         w = rng.standard_normal((3, 2))
         up0, up1 = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
-        out, cache = gcn_forward(adj, np.hstack([h0, h1]), w, views=2)
-        gh, gws = gcn_backward(cache, np.hstack([up0, up1]))
+        out, cache = gcn_forward(np.hstack([ah0, ah1]), w, views=2)
+        g_ah, gws = gcn_backward(cache, np.hstack([up0, up1]))
         assert len(gws) == 2
-        for v, (h, up) in enumerate(((h0, up0), (h1, up1))):
-            out_v, cache_v = gcn_forward(adj, h, w)
-            gh_v, (gw_v,) = gcn_backward(cache_v, up)
+        for v, (ah, up) in enumerate(((ah0, up0), (ah1, up1))):
+            out_v, cache_v = gcn_forward(ah, w)
+            g_ah_v, (gw_v,) = gcn_backward(cache_v, up)
             npt.assert_allclose(out[:, 2 * v : 2 * v + 2], out_v, atol=1e-13)
-            npt.assert_allclose(gh[:, 3 * v : 3 * v + 3], gh_v, atol=1e-13)
+            npt.assert_allclose(g_ah[:, 3 * v : 3 * v + 3], g_ah_v, atol=1e-13)
             npt.assert_allclose(gws[v], gw_v, atol=1e-13)
 
     def test_rejects_width_not_matching_views(self):
         with pytest.raises(ValueError, match="2 view"):
-            gcn_forward(np.eye(2), np.zeros((2, 3)), np.eye(2), views=2)
-
-    def test_given_ah_returns_gradient_at_ah(self, rng):
-        adj = rng.random((4, 4))
-        h, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
-        up = rng.standard_normal((4, 2))
-        out, cache = gcn_forward(adj, h, w, ah=adj @ h)
-        own_out, own_cache = gcn_forward(adj, h, w)
-        npt.assert_array_equal(out, own_out)
-        g_ah, (gw,) = gcn_backward(cache, up)
-        g_h, (own_gw,) = gcn_backward(own_cache, up)
-        npt.assert_array_equal(gw, own_gw)
-        npt.assert_allclose(g_ah, (up * (own_cache.z > 0)) @ w.T, atol=1e-13)
-        npt.assert_allclose(adj.T @ g_ah, g_h, atol=1e-13)
-
-    def test_extra_joins_the_transposed_product(self, rng):
-        adj = rng.random((4, 4))
-        h, w = rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
-        up, extra = rng.standard_normal((4, 2)), rng.standard_normal((4, 5))
-        _, cache = gcn_forward(adj, h, w, activation="identity")
-        gh, _ = gcn_backward(cache, up, extra=extra)
-        npt.assert_allclose(gh[:, :5], adj.T @ extra, atol=1e-13)
-        npt.assert_allclose(gh[:, 5:], adj.T @ (up @ w.T), atol=1e-13)
+            gcn_forward(np.zeros((2, 3)), np.eye(2), views=2)
 
     def test_no_input_grad(self, rng):
-        _, cache = gcn_forward(np.eye(3), rng.standard_normal((3, 2)), np.eye(2))
-        gh, (gw,) = gcn_backward(cache, np.ones((3, 2)), input_grad=False)
-        assert gh is None
+        _, cache = gcn_forward(rng.standard_normal((3, 2)), np.eye(2))
+        g_ah, (gw,) = gcn_backward(cache, np.ones((3, 2)), input_grad=False)
+        assert g_ah is None
         assert gw.shape == (2, 2)
 
 
