@@ -1,5 +1,6 @@
 """Graph container, adjacency normalization and propagation."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,18 @@ from hypothesis import strategies as st
 
 import tard
 from tard.graphs import (
+    EDGE_LIST_MIN_NODES,
     InvalidEventError,
     PropagationEvent,
     PropGraph,
     build_adjacency,
+    edge_list_operator,
     normalize_adjacency,
     to_prop_graph,
 )
+
+#: The attributes that hold a graph's operator; only graphs.py names them.
+OPERATOR_ATTRIBUTES = ("adj_norm", "csr_indptr", "csr_cols", "csr_vals")
 
 
 def _event(edges, features, label=0, event_id="t"):
@@ -171,12 +177,139 @@ class TestPropGraph:
         assert g.propagate_back(x).tobytes() == (adj.T @ x).tobytes()
 
     def test_only_graphs_names_the_adjacency(self):
-        # The adjacency format is private to graphs.py, so changing it (say,
-        # to an edge list for large cascades) touches no other module.
+        # The operator's formats are private to graphs.py, so changing one
+        # (or the threshold between them) touches no other module.
         package = Path(tard.__file__).parent
         named = [
-            str(path.relative_to(package))
+            (str(path.relative_to(package)), name)
             for path in sorted(package.rglob("*.py"))
-            if path.name != "graphs.py" and "adj_norm" in path.read_text(encoding="utf-8")
+            if path.name != "graphs.py"
+            for name in OPERATOR_ATTRIBUTES
+            if name in path.read_text(encoding="utf-8")
         ]
         assert named == []
+
+
+def _tree_edges(rng, n):
+    return [(int(rng.integers(0, k)), k) for k in range(1, n)]
+
+
+def _edge_list_graph(edges, n, mode):
+    indptr, cols, vals = edge_list_operator(edges, n, mode)
+    return PropGraph(features=np.zeros((n, 1)), csr_indptr=indptr, csr_cols=cols, csr_vals=vals)
+
+
+def _densify(indptr, cols, vals, n):
+    """The N x N matrix a compressed-sparse-rows triple stands for."""
+    m = np.zeros((n, n))
+    m[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
+    return m
+
+
+EDGE_CASES = {
+    "tree": (_tree_edges(np.random.default_rng(5), 40), 40),
+    "duplicated-edge": ([(0, 1), (1, 2), (0, 1), (2, 3)], 4),
+    "reciprocal-pair": ([(0, 1), (1, 2), (2, 1), (0, 3)], 4),
+    "no-edges": ([], 5),
+    "hub": ([(0, k) for k in range(1, 602)] + [(5, 602), (602, 603)], 604),
+}
+
+
+class TestEdgeListOperator:
+    """The edge-list operator is the dense normalized adjacency, entry for
+    entry, and its products agree with the dense ones to rounding."""
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_matches_the_dense_operator(self, case, mode):
+        edges, n = EDGE_CASES[case]
+        dense = normalize_adjacency(build_adjacency(edges, n), mode)
+        indptr, cols, vals = edge_list_operator(edges, n, mode)
+        assert indptr.shape[0] == (1 if mode == "undirected" else 2)
+        assert _densify(indptr[0], cols[0], vals[0], n).tobytes() == dense.tobytes()
+        assert _densify(indptr[-1], cols[-1], vals[-1], n).tobytes() == dense.T.tobytes()
+        g = _edge_list_graph(edges, n, mode)
+        x = np.random.default_rng(n).standard_normal((n, 6))
+        assert np.max(np.abs(g.propagate(x) - dense @ x)) <= 1e-15
+        assert np.max(np.abs(g.propagate_back(x) - dense.T @ x)) <= 1e-15
+
+    def test_directed_propagate_back_is_the_transpose(self):
+        # A non-symmetric operator: back-propagation must use adj.T, not adj.
+        edges, n = EDGE_CASES["hub"]
+        dense = normalize_adjacency(build_adjacency(edges, n), "directed")
+        assert not np.array_equal(dense, dense.T)
+        g = _edge_list_graph(edges, n, "directed")
+        assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
+        assert g.propagate_back(np.eye(n)).tobytes() == dense.T.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_trees_with_extra_edges(self, data):
+        n = data.draw(st.integers(1, 30))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edges = _tree_edges(rng, n)
+        if n > 1:
+            extra = rng.integers(0, n, size=(n, 2))
+            edges += [(int(s), int(t)) for s, t in extra if s != t]
+        x = rng.standard_normal((n, 3))
+        for mode in ("undirected", "directed"):
+            dense = normalize_adjacency(build_adjacency(edges, n), mode)
+            g = _edge_list_graph(edges, n, mode)
+            assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
+            assert np.max(np.abs(g.propagate(x) - dense @ x)) <= 1e-15
+            assert np.max(np.abs(g.propagate_back(x) - dense.T @ x)) <= 1e-15
+
+    def test_rejects_bad_edges_and_modes(self):
+        with pytest.raises(InvalidEventError, match=r"\(1, 5\)"):
+            edge_list_operator([(1, 5)], 3)
+        with pytest.raises(ValueError, match="bogus"):
+            edge_list_operator([], 2, mode="bogus")
+
+    def test_rejects_malformed_operators(self):
+        indptr, cols, vals = edge_list_operator([(0, 1), (1, 2)], 3)
+        ok = {"csr_indptr": indptr, "csr_cols": cols, "csr_vals": vals}
+        features = np.zeros((3, 1))
+        bad = {
+            "indptr-length": {**ok, "csr_indptr": indptr[:, :-1]},
+            "cols-vals-mismatch": {**ok, "csr_vals": vals[:, :-1]},
+            "col-out-of-range": {**ok, "csr_cols": cols + 1},
+            "empty-row": {**ok, "csr_indptr": np.array([[0, 0, 4, 7]])},
+            "indptr-end": {**ok, "csr_indptr": indptr - 1},
+        }
+        for name, arrays in bad.items():
+            shapes = (
+                f"indptr {arrays['csr_indptr'].shape}, cols {arrays['csr_cols'].shape}, "
+                f"vals {arrays['csr_vals'].shape}"
+            )
+            with pytest.raises(ValueError, match=re.escape(shapes)):
+                PropGraph(features=features, **arrays)
+        with pytest.raises(ValueError, match="csr_vals"):
+            PropGraph(features=features, csr_indptr=indptr, csr_cols=cols)
+        with pytest.raises(ValueError, match="not both"):
+            PropGraph(features=features, adj_norm=np.eye(3), **ok)
+
+
+class TestEdgeListThreshold:
+    def test_below_the_threshold_the_graph_stays_dense(self):
+        # Every cascade below the threshold keeps the dense products bit for
+        # bit; that includes every shift-mid split, so the acceptance
+        # criteria never enter the edge-list path.
+        preset = tard.shift_mid(0)
+        for spec in (preset.domain, preset.val_spec(), preset.target_spec()):
+            assert spec.size_dist[1] < EDGE_LIST_MIN_NODES
+        n = EDGE_LIST_MIN_NODES - 1
+        rng = np.random.default_rng(2)
+        g = to_prop_graph(_event(_tree_edges(rng, n), rng.standard_normal((n, 3))))
+        assert g.adj_norm is not None and g.csr_indptr is None
+        assert g.ax.tobytes() == (g.adj_norm @ g.features).tobytes()
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    def test_at_the_threshold_the_graph_is_an_edge_list(self, mode):
+        n = EDGE_LIST_MIN_NODES
+        rng = np.random.default_rng(3)
+        ev = _event(_tree_edges(rng, n), rng.standard_normal((n, 3)))
+        g = to_prop_graph(ev, mode)
+        assert g.adj_norm is None
+        dense = normalize_adjacency(build_adjacency(ev.edges, n), mode)
+        assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
+        assert np.max(np.abs(g.ax - dense @ ev.features)) <= 1e-15

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference_check, make_random_graph
+from conftest import finite_difference_check, make_random_event, make_random_graph
+from tard import graphs
 from tard.graphs import PropGraph
 from tard.model import (
     GROUP_MAIN,
@@ -382,8 +383,9 @@ class TestObjective:
 
 
 class _CountingAdjacency(np.ndarray):
-    """An adjacency that counts the matrix products it is the left operand
-    of, its transpose included; results are plain arrays."""
+    """A dense adjacency that counts the matrix products it is the left
+    operand of, its transpose included; results are plain arrays. The
+    edge-list path adds its kernel calls to the same count."""
 
     products = 0
 
@@ -398,6 +400,7 @@ class TestAdjacencyProducts:
     adaptation step; adj @ X only when the graph is built."""
 
     def _graphs(self, rng):
+        """(plain, counted): the same graph, the second counting products."""
         plain = make_random_graph(rng, 7, 4)
         counted = PropGraph(
             adj_norm=plain.adj_norm.view(_CountingAdjacency),
@@ -438,6 +441,29 @@ class TestAdjacencyProducts:
         assert calls[call](plain) == got
         for name, grad in _grads(small_params.named_parameters()).items():
             npt.assert_array_equal(grads[name], grad, err_msg=name)
+
+
+class TestEdgeListAdjacencyProducts(TestAdjacencyProducts):
+    """The same counts on the edge-list path, where each product is one call
+    of the CSR kernel."""
+
+    @pytest.fixture(autouse=True)
+    def _count_kernel_calls(self, monkeypatch):
+        kernel = graphs.csr_product
+
+        def counting(*args):
+            _CountingAdjacency.products += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(graphs, "csr_product", counting)
+
+    def _graphs(self, rng):
+        event = make_random_event(rng, 7, 4)
+        indptr, cols, vals = graphs.edge_list_operator(event.edges, 7)
+        graph = PropGraph(
+            features=event.features, csr_indptr=indptr, csr_cols=cols, csr_vals=vals
+        )
+        return graph, graph
 
 
 class TestEmbeddingStats:

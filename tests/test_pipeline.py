@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_random_event, separable
 from tard.datagen import ShiftSpec, apply_shift, generate_domain
+from tard import graphs
 from tard.graphs import to_prop_graph
 from tard.model import (
     GROUP_MAIN,
@@ -310,6 +311,30 @@ class TestOnlineEvaluation:
         assert online[0] == episodic[0]
         assert online[1] != episodic[1]
 
+
+
+class TestEdgeListThreshold:
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    @pytest.mark.parametrize("adaptation", ["episodic", "online"])
+    def test_edge_list_graphs_evaluate_like_dense_ones(
+        self, separable_model, monkeypatch, mode, adaptation
+    ):
+        """At the threshold the graphs are edge lists; forcing the same
+        events onto the dense path gives the same predictions, with
+        probabilities that differ only by rounding."""
+        model, _ = separable_model
+        model = with_config(model, adjacency=mode, adaptation_mode=adaptation)
+        n = graphs.EDGE_LIST_MIN_NODES
+        events = _events(n=2, nodes=n, dim=4, seed=21)
+        assert to_prop_graph(events[0], mode).csr_indptr is not None
+        edge_list = evaluate(events, model)
+        monkeypatch.setattr(graphs, "EDGE_LIST_MIN_NODES", n + 1)
+        assert to_prop_graph(events[0], mode).csr_indptr is None
+        dense = evaluate(events, model)
+        assert [r.pred for r in edge_list] == [r.pred for r in dense]
+        npt.assert_allclose(
+            [r.probs for r in edge_list], [r.probs for r in dense], rtol=0, atol=1e-12
+        )
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, separable_model, tmp_path):
