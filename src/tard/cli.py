@@ -246,9 +246,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     file_cfg = _load_config_file(args.config) if args.config else {}
+    file_train = file_cfg.get("train", {})
     train = _check_file_values(
-        args.config, "train.", TrainConfig, asdict(model.config), file_cfg.get("train", {})
+        args.config, "train.", TrainConfig, asdict(model.config), file_train
     )
+    for key in ("d_hidden", "shared_layers", "main_layers", "ssl_layers"):
+        have = getattr(model.params.dims, key)
+        if key in file_train and file_train[key] != have:
+            raise ValueError(
+                f"config file {args.config}: 'train.{key}' is {file_train[key]}, "
+                f"but the checkpoint has {have}"
+            )
     model = replace(model, config=replace(train, **_flag_overrides(args)))
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")

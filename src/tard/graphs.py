@@ -3,7 +3,8 @@
 Events are reply cascades: node 0 is the source post, later nodes are
 responsive posts, and every node carries a feature vector. Runtime graphs
 hold a normalized adjacency, as a dense matrix or, for large cascades, as an
-edge list, and make every propagation product of the GCN layers.
+edge list, and make every propagation product of the GCN layers. Both forms
+are filled from the one set of entries :func:`normalized_entries` builds.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class PropGraph:
     The graph owns propagation, the ``Â·H`` half of every GCN layer:
     ``propagate(x)`` is ``Â @ x`` and ``propagate_back(g)`` is ``Â.T @ g``,
     and no other module reads the operator. It is held in one of two forms,
-    checked against the feature rows at construction:
+    checked against the feature rows at construction. ``to_prop_graph``
+    fills either form from the same :func:`normalized_entries`, so they hold
+    the same entries bit for bit:
 
     - dense: ``adj_norm`` is the N x N matrix, and the products are BLAS
       matrix products;
@@ -174,97 +177,55 @@ def csr_product(
     return np.add.reduceat(vals[:, None] * x[cols], indptr[:-1], axis=0)
 
 
-def build_adjacency(edges: Sequence[tuple[int, int]], n: int) -> np.ndarray:
-    """Binary adjacency from an edge list: a[s, t] = 1 iff (s, t) is an edge.
+def normalized_entries(
+    edges: Sequence[tuple[int, int]], n: int, mode: AdjacencyMode = "undirected"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries ``(rows, cols, vals)`` of the GCN-normalized
+    adjacency, in row-major order: the only adjacency normalization.
 
-    No symmetrization happens here; direction handling belongs to
-    :func:`normalize_adjacency`.
+    Every node gets a self-loop, and an edge given twice, or in both
+    directions where the mode symmetrizes, is one entry. ``undirected``
+    (default) links each edge both ways and gives ``d^-1/2[r] * d^-1/2[c]``,
+    symmetric with spectral radius <= 1; ``directed`` keeps the direction
+    and gives ``1 / d[r]``, row-stochastic. ``d`` counts a row's entries.
     """
-    idx = _edge_index(edges, n)
-    a = np.zeros((n, n), dtype=np.float64)
-    a[idx[:, 0], idx[:, 1]] = 1.0
-    return a
-
-
-def _edge_index(edges: Sequence[tuple[int, int]], n: int) -> np.ndarray:
-    """Edges as an (E, 2) index array, each checked to lie in ``[0, n)``."""
+    if mode not in ("undirected", "directed"):
+        raise ValueError(f"unknown adjacency mode {mode!r}")
     idx = np.array(edges, dtype=np.intp).reshape(-1, 2)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         s, t = idx[((idx < 0) | (idx >= n)).any(axis=1)][0]
         raise InvalidEventError(f"edge ({s}, {t}) out of range for {n} nodes")
-    return idx
-
-
-def normalize_adjacency(a: np.ndarray, mode: AdjacencyMode = "undirected") -> np.ndarray:
-    """GCN-style normalization of a binary adjacency matrix.
-
-    ``undirected`` (default): symmetrize with entrywise max of ``a`` and its
-    transpose, add self-loops, then scale as D^(-1/2) S D^(-1/2). Output is
-    symmetric with spectral radius <= 1.
-
-    ``directed``: add self-loops to ``a`` as-is and row-normalize, giving a
-    row-stochastic propagation operator.
-
-    Self-loops are an entrywise max with the identity. The result is built
-    in one new N x N array, and ``a`` is left as it was.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if mode == "undirected":
-        s = np.maximum(a, a.T)
-        _max_with_identity(s)
-        d_inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
-        s *= d_inv_sqrt[:, None]
-        s *= d_inv_sqrt[None, :]
-        return s
-    if mode == "directed":
-        r = a.copy()
-        _max_with_identity(r)
-        r /= r.sum(axis=1, keepdims=True)
-        return r
-    raise ValueError(f"unknown adjacency mode {mode!r}")
-
-
-def _max_with_identity(m: np.ndarray) -> None:
-    """``m = np.maximum(m, np.eye(n))`` in place, without building the identity."""
-    np.maximum(m, 0.0, out=m)
-    np.fill_diagonal(m, np.maximum(m.diagonal(), 1.0))
-
-
-def edge_list_operator(
-    edges: Sequence[tuple[int, int]], n: int, mode: AdjacencyMode = "undirected"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``normalize_adjacency(build_adjacency(edges, n), mode)`` in compressed
-    sparse rows, built from the edge list without an N x N array.
-
-    Returns ``(indptr, cols, vals)`` in the stacked form ``PropGraph`` holds:
-    one row for the symmetric ``undirected`` operator, and for ``directed``
-    a second row with its transpose. The entries are the dense path's: an
-    edge given twice, or in both directions where the mode symmetrizes, is
-    one entry; every node has a self-loop; ``undirected`` values are
-    ``d^-1/2[r] * d^-1/2[c]`` and ``directed`` ones ``1 / d[r]``, computed
-    as the dense normalization computes them, so they match it bit for bit.
-    """
-    if mode not in ("undirected", "directed"):
-        raise ValueError(f"unknown adjacency mode {mode!r}")
-    idx = _edge_index(edges, n)
     loops = np.arange(n, dtype=np.intp)
     rows, cols = [idx[:, 0], loops], [idx[:, 1], loops]
     if mode == "undirected":
         rows.append(idx[:, 1])
         cols.append(idx[:, 0])
-    # One key per entry, in row-major order; unique sorts and deduplicates.
-    keys = np.unique(np.concatenate(rows) * n + np.concatenate(cols))
+    # One key per entry, in row-major order: sort, then drop repeats. Not
+    # np.unique: on numpy 2.4 its first call imports numpy.ma, which adds
+    # about 2 MB of resident memory to a run that builds only dense graphs.
+    keys = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     r, c = np.divmod(keys, n)
-    counts = np.bincount(r, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    deg = counts.astype(np.float64)
+    deg = np.bincount(r, minlength=n).astype(np.float64)
     if mode == "undirected":
         d_inv_sqrt = 1.0 / np.sqrt(deg)
-        vals = d_inv_sqrt[r] * d_inv_sqrt[c]
+        return r, c, d_inv_sqrt[r] * d_inv_sqrt[c]
+    return r, c, 1.0 / deg[r]
+
+
+def edge_list_operator(
+    edges: Sequence[tuple[int, int]], n: int, mode: AdjacencyMode = "undirected"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`normalized_entries` packed in compressed sparse rows.
+
+    Returns ``(indptr, cols, vals)`` in the stacked form ``PropGraph`` holds:
+    one row for the symmetric ``undirected`` operator, and for ``directed``
+    a second row with its transpose.
+    """
+    r, c, vals = normalized_entries(edges, n, mode)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    if mode == "undirected":
         return indptr[None, :], c[None, :], vals[None, :]
-    vals = 1.0 / deg[r]
     order = np.argsort(c * n + r)
     indptr_t = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n))])
     return np.stack([indptr, indptr_t]), np.stack([c, r[order]]), np.stack([vals, vals[order]])
@@ -279,5 +240,7 @@ def to_prop_graph(event: PropagationEvent, mode: AdjacencyMode = "undirected") -
     if n >= EDGE_LIST_MIN_NODES:
         indptr, cols, vals = edge_list_operator(event.edges, n, mode)
         return PropGraph(features=features, csr_indptr=indptr, csr_cols=cols, csr_vals=vals)
-    a = build_adjacency(event.edges, n)
-    return PropGraph(adj_norm=normalize_adjacency(a, mode), features=features)
+    rows, cols, vals = normalized_entries(event.edges, n, mode)
+    adj = np.zeros((n, n))
+    adj[rows, cols] = vals
+    return PropGraph(adj_norm=adj, features=features)

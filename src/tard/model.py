@@ -265,12 +265,11 @@ def objective(
     label: int | None = None,
     perm: np.ndarray | None = None,
     stats: EmbeddingStats | None = None,
-    w_m: float = 1.0,
     w_s: float = 1.0,
     w_c: float = 1.0,
     grad: bool = True,
 ) -> Losses:
-    """The Y-structure objective w_m*L_m + w_s*L_s + w_c*L_c on one graph.
+    """The Y-structure objective L_m + w_s*L_s + w_c*L_c on one graph.
 
     A term is computed when its input is given: ``label`` for the supervised
     cross-entropy L_m, a corruption ``perm`` for the contrastive L_s, and
@@ -304,7 +303,7 @@ def objective(
         _, cache = forward_main(h, graph, params, ah=ah)
         out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], np.array([label]))
         if grad:
-            grad_logits = w_m * grad_logits[0]
+            grad_logits = grad_logits[0]
             params.theta_m_out_w.grad += np.outer(cache.g, grad_logits)
             params.theta_m_out_b.grad += grad_logits[None, :]
             grad_g = params.theta_m_out_w.value @ grad_logits

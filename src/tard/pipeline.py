@@ -320,6 +320,13 @@ def _check_model_compat(events: Sequence[PropagationEvent], model: TrainedModel)
         raise ValueError(
             f"feature dim mismatch: data has {d}, checkpoint expects {model.params.dims.d_in}"
         )
+    num_classes = model.params.dims.num_classes
+    for e in events:
+        if not 0 <= e.label < num_classes:
+            raise ValueError(
+                f"event {e.id!r} has label {e.label}, outside the checkpoint's "
+                f"classes [0, {num_classes})"
+            )
 
 
 def _eval_one(

@@ -336,6 +336,48 @@ class TestEval:
         assert code == 2
         assert "feature dim" in capsys.readouterr().err
 
+    def test_label_outside_the_classes_exits_2_before_adapting(
+        self, workdir, tmp_path, capsys
+    ):
+        lines = (workdir["data"] / "test.jsonl").read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["label"] = 5
+        data = tmp_path / "label5.jsonl"
+        data.write_text("\n".join([lines[0], json.dumps(bad), *lines[2:]]) + "\n")
+        out = tmp_path / "evl"
+        code = main(["eval", str(workdir["checkpoint"]), str(data), "--out", str(out)])
+        assert code == 2
+        assert f"event {bad['id']!r} has label 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "train, named",
+        [
+            ({"d_hidden": 64}, "'train.d_hidden' is 64, but the checkpoint has 4"),
+            ({"shared_layers": 3}, "'train.shared_layers' is 3, but the checkpoint has 1"),
+            ({"main_layers": 2}, "'train.main_layers' is 2, but the checkpoint has 1"),
+            ({"ssl_layers": 2, "d_hidden": 4}, "'train.ssl_layers' is 2"),
+            (TINY_CONFIG["train"], None),
+        ],
+        ids=["d_hidden", "shared_layers", "main_layers", "ssl_layers", "as-trained"],
+    )
+    def test_config_must_match_the_checkpoint_architecture(
+        self, workdir, tmp_path, capsys, train, named
+    ):
+        config = tmp_path / "arch.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": train}))
+        out = tmp_path / "eva"
+        args = ["eval", *_inputs(workdir, "eval"), "--config", str(config), "--out", str(out)]
+        code = main(args)
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == 0
+            return
+        assert code == 2
+        assert f"config file {config}: {named}" in err
+        assert "config_hash=" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "corrupt, named",
         [

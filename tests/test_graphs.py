@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tard
+from tard import graphs
 from tard.graphs import (
     EDGE_LIST_MIN_NODES,
     InvalidEventError,
     PropagationEvent,
     PropGraph,
-    build_adjacency,
     edge_list_operator,
-    normalize_adjacency,
+    normalized_entries,
     to_prop_graph,
 )
 
@@ -64,69 +64,89 @@ class TestPropagationEvent:
             _event([], [[0.0]], label=-1)
 
 
+def _reference_operator(edges, n, mode):
+    """The normalized adjacency by the textbook formula on an N x N binary
+    matrix: S = max(A, A.T, I), then D^-1/2 S D^-1/2 (undirected), or
+    max(A, I) row-normalized (directed)."""
+    a = np.zeros((n, n))
+    for s, t in edges:
+        a[s, t] = 1.0
+    eye = np.eye(n)
+    if mode == "undirected":
+        s = np.maximum(np.maximum(a, a.T), eye)
+        d_inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+        return (s * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
+    r = np.maximum(a, eye)
+    return r / r.sum(axis=1, keepdims=True)
+
+
+def _dense_operator(edges, n, mode="undirected"):
+    """The dense ``adj_norm`` ``to_prop_graph`` builds for these edges (n
+    below ``EDGE_LIST_MIN_NODES``)."""
+    return to_prop_graph(_event(edges, np.zeros((n, 1))), mode).adj_norm
+
+
 class TestBuildAdjacency:
+    """Which entries ``normalized_entries`` builds from an edge list."""
+
     def test_star(self):
-        a = build_adjacency([(0, 1), (0, 2)], 3)
-        npt.assert_array_equal(a, [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+        # Directed keeps the edges as given; each node adds its self-loop,
+        # and the entries come in row-major order.
+        rows, cols, _ = normalized_entries([(0, 2), (0, 1)], 3, "directed")
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)]
 
     def test_names_bad_edge(self):
         with pytest.raises(InvalidEventError, match=r"\(1, 5\)"):
-            build_adjacency([(1, 5)], 3)
+            normalized_entries([(1, 5)], 3)
 
     def test_names_negative_edge(self):
         with pytest.raises(InvalidEventError, match=r"\(-1, 0\)"):
-            build_adjacency([(0, 1), (-1, 0)], 3)
+            normalized_entries([(0, 1), (-1, 0)], 3)
 
     def test_no_edges(self):
-        npt.assert_array_equal(build_adjacency([], 2), np.zeros((2, 2)))
+        for mode in ("undirected", "directed"):
+            assert _dense_operator([], 3, mode).tobytes() == np.eye(3).tobytes()
 
 
 class TestNormalizeAdjacency:
+    """The values ``normalized_entries`` gives, read through the dense form."""
+
     def test_single_node(self):
-        npt.assert_array_equal(normalize_adjacency(np.zeros((1, 1))), [[1.0]])
+        rows, cols, vals = normalized_entries([], 1)
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([0], [0], [1.0])
 
     def test_single_edge_hand_value(self):
         # symmetrized single edge plus self-loops: both degrees 2
-        a = build_adjacency([(0, 1)], 2)
-        npt.assert_allclose(normalize_adjacency(a), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        s = _dense_operator([(0, 1)], 2)
+        npt.assert_allclose(s, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_directed_rows_sum_to_one(self):
-        a = build_adjacency([(0, 1), (0, 2)], 3)
-        r = normalize_adjacency(a, mode="directed")
+        r = _dense_operator([(0, 1), (0, 2)], 3, mode="directed")
         npt.assert_allclose(r.sum(axis=1), np.ones(3), atol=1e-15)
 
     @pytest.mark.parametrize("mode", ["undirected", "directed"])
     def test_bit_identical_to_the_eye_formula(self, mode):
-        # (1, 2) and (2, 1) are a reciprocal pair: the max keeps one 1.
-        a = build_adjacency([(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 0)], 5)
-        a = np.vstack([np.hstack([a, np.zeros((5, 25))]), np.zeros((25, 30))])
+        # (1, 2) and (2, 1) are a reciprocal pair: it is one entry.
+        edges = [(0, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 0)]
         rng = np.random.default_rng(8)
-        a[5:, 5:] = rng.random((25, 25)) < 0.2
-        np.fill_diagonal(a, 0.0)
-        before = a.copy()
-        eye = np.eye(30)
-        if mode == "undirected":
-            s = np.maximum(np.maximum(a, a.T), eye)
-            d_inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
-            expected = (s * d_inv_sqrt[:, None]) * d_inv_sqrt[None, :]
-        else:
-            r = np.maximum(a, eye)
-            expected = r / r.sum(axis=1, keepdims=True)
-        assert normalize_adjacency(a, mode).tobytes() == expected.tobytes()
-        assert a.tobytes() == before.tobytes()
+        block = rng.random((25, 25)) < 0.2
+        np.fill_diagonal(block, False)
+        edges += [(int(s) + 5, int(t) + 5) for s, t in zip(*np.nonzero(block))]
+        expected = _reference_operator(edges, 30, mode)
+        assert _dense_operator(edges, 30, mode).tobytes() == expected.tobytes()
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_adjacency(np.zeros((1, 1)), mode="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            normalized_entries([], 1, mode="bogus")
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_symmetric_with_spectral_radius_at_most_one(self, data):
         n = data.draw(st.integers(1, 8))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        a = (rng.random((n, n)) < 0.3).astype(float)
-        np.fill_diagonal(a, 0.0)
-        s = normalize_adjacency(a)
+        a = rng.random((n, n)) < 0.3
+        np.fill_diagonal(a, False)
+        s = _dense_operator([(int(i), int(j)) for i, j in zip(*np.nonzero(a))], n)
         npt.assert_allclose(s, s.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(s)
         assert np.max(np.abs(eigs)) <= 1.0 + 1e-9
@@ -223,7 +243,7 @@ class TestEdgeListOperator:
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_matches_the_dense_operator(self, case, mode):
         edges, n = EDGE_CASES[case]
-        dense = normalize_adjacency(build_adjacency(edges, n), mode)
+        dense = _reference_operator(edges, n, mode)
         indptr, cols, vals = edge_list_operator(edges, n, mode)
         assert indptr.shape[0] == (1 if mode == "undirected" else 2)
         assert _densify(indptr[0], cols[0], vals[0], n).tobytes() == dense.tobytes()
@@ -236,7 +256,7 @@ class TestEdgeListOperator:
     def test_directed_propagate_back_is_the_transpose(self):
         # A non-symmetric operator: back-propagation must use adj.T, not adj.
         edges, n = EDGE_CASES["hub"]
-        dense = normalize_adjacency(build_adjacency(edges, n), "directed")
+        dense = _reference_operator(edges, n, "directed")
         assert not np.array_equal(dense, dense.T)
         g = _edge_list_graph(edges, n, "directed")
         assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
@@ -253,7 +273,7 @@ class TestEdgeListOperator:
             edges += [(int(s), int(t)) for s, t in extra if s != t]
         x = rng.standard_normal((n, 3))
         for mode in ("undirected", "directed"):
-            dense = normalize_adjacency(build_adjacency(edges, n), mode)
+            dense = _reference_operator(edges, n, mode)
             g = _edge_list_graph(edges, n, mode)
             assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
             assert np.max(np.abs(g.propagate(x) - dense @ x)) <= 1e-15
@@ -290,6 +310,24 @@ class TestEdgeListOperator:
 
 
 class TestEdgeListThreshold:
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_both_forms_hold_the_reference_entries(self, monkeypatch, case, mode):
+        edges, n = EDGE_CASES[case]
+        expected = _reference_operator(edges, n, mode)
+        event = _event(edges, np.zeros((n, 1)))
+        monkeypatch.setattr(graphs, "EDGE_LIST_MIN_NODES", n + 1)
+        dense = to_prop_graph(event, mode)
+        monkeypatch.setattr(graphs, "EDGE_LIST_MIN_NODES", n)
+        edge_list = to_prop_graph(event, mode)
+        assert dense.adj_norm.tobytes() == expected.tobytes()
+        assert edge_list.adj_norm is None
+        for row, want in ((0, expected), (-1, expected.T)):
+            got = _densify(
+                edge_list.csr_indptr[row], edge_list.csr_cols[row], edge_list.csr_vals[row], n
+            )
+            assert got.tobytes() == want.tobytes()
+
     def test_below_the_threshold_the_graph_stays_dense(self):
         # Every cascade below the threshold keeps the dense products bit for
         # bit; that includes every shift-mid split, so the acceptance
@@ -310,6 +348,6 @@ class TestEdgeListThreshold:
         ev = _event(_tree_edges(rng, n), rng.standard_normal((n, 3)))
         g = to_prop_graph(ev, mode)
         assert g.adj_norm is None
-        dense = normalize_adjacency(build_adjacency(ev.edges, n), mode)
+        dense = _reference_operator(ev.edges, n, mode)
         assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
         assert np.max(np.abs(g.ax - dense @ ev.features)) <= 1e-15

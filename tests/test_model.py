@@ -354,13 +354,13 @@ class TestObjective:
 
     def test_all_three_terms_match_finite_difference(self, rng):
         params, g, stats, perm = self._setup(rng)
-        w = {"w_m": 0.6, "w_s": 0.7, "w_c": 0.25}
+        w = {"w_s": 0.7, "w_c": 0.25}
         named = params.named_parameters()
 
         def loss_fn():
             params.zero_grads()
             out = objective(g, params, label=1, perm=perm, stats=stats, **w)
-            total = w["w_m"] * out.l_m + w["w_s"] * out.l_s + w["w_c"] * out.l_c
+            total = out.l_m + w["w_s"] * out.l_s + w["w_c"] * out.l_c
             return total, _grads(named)
 
         report = finite_difference_check(loss_fn, named)

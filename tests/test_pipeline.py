@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_random_event, separable
 from tard.datagen import ShiftSpec, apply_shift, generate_domain
-from tard import graphs
+from tard import graphs, pipeline
 from tard.graphs import to_prop_graph
 from tard.model import (
     GROUP_MAIN,
@@ -227,6 +227,18 @@ class TestEpisodicEvaluation:
         model, _ = separable_model
         with pytest.raises(ValueError, match="feature dim"):
             evaluate([make_random_event(rng, 4, 9)], model)
+
+    def test_rejects_label_outside_the_classes_before_adapting(
+        self, separable_model, monkeypatch
+    ):
+        model, _ = separable_model
+        events = _events(n=3, dim=4, seed=4)
+        events[1] = replace(events[1], label=5)
+        adapted = []
+        monkeypatch.setattr(pipeline, "ttt_adapt", lambda *args, **kw: adapted.append(args))
+        with pytest.raises(ValueError, match=r"'u-1' has label 5.*\[0, 2\)"):
+            evaluate(events, model)
+        assert adapted == []
 
     def test_order_invariance(self, separable_model):
         model, _ = separable_model
