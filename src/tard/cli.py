@@ -24,6 +24,7 @@ from .graphs import InvalidEventError
 from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
+    architecture_mismatch,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -250,13 +251,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     train = _check_file_values(
         args.config, "train.", TrainConfig, asdict(model.config), file_train
     )
-    for key in ("d_hidden", "shared_layers", "main_layers", "ssl_layers"):
-        have = getattr(model.params.dims, key)
-        if key in file_train and file_train[key] != have:
-            raise ValueError(
-                f"config file {args.config}: 'train.{key}' is {file_train[key]}, "
-                f"but the checkpoint has {have}"
-            )
+    bad = architecture_mismatch(file_train, model.params.dims)
+    if bad is not None:
+        key, value, have = bad
+        raise ValueError(
+            f"config file {args.config}: 'train.{key}' is {value}, but the checkpoint has {have}"
+        )
     model = replace(model, config=replace(train, **_flag_overrides(args)))
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")

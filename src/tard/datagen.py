@@ -220,11 +220,18 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
         raise InvalidEventError(f"bad feature matrix: {exc}") from exc
     if features.ndim != 2:
         raise InvalidEventError("features must be a list of equal-length rows")
+    # type(...) is int: a JSON integer, not a float, boolean or string.
+    if type(rec["label"]) is not int:
+        raise InvalidEventError(f"'label' is {rec['label']!r}, not a JSON integer")
+    edges = [(s, t) for s, t in rec["edges"]]
+    for s, t in edges:
+        if type(s) is not int or type(t) is not int:
+            raise InvalidEventError(f"'edges' entry [{s!r}, {t!r}] is not two JSON integers")
     return PropagationEvent(
         id=str(rec["id"]),
-        label=int(rec["label"]),
+        label=rec["label"],
         num_nodes=features.shape[0],
-        edges=[(int(s), int(t)) for s, t in rec["edges"]],
+        edges=edges,
         features=features,
     )
 

@@ -2,14 +2,15 @@
 
 Events are reply cascades: node 0 is the source post, later nodes are
 responsive posts, and every node carries a feature vector. Runtime graphs
-hold a normalized adjacency, as a dense matrix or, for large cascades, as an
-edge list, and make every propagation product of the GCN layers. Both forms
-are filled from the one set of entries :func:`normalized_entries` builds.
+hold the normalized adjacency ``Â`` in one field, as a dense matrix or, for
+large cascades, as an :class:`EdgeList` used like one, and make every
+propagation product of the GCN layers. Both forms are filled from the one
+set of entries :func:`normalized_entries` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -74,28 +75,52 @@ class PropagationEvent:
 EDGE_LIST_MIN_NODES = 500
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeList:
+    """An N x N operator in compressed sparse rows, used like a matrix.
+
+    Row ``r`` holds ``vals[k]`` at column ``cols[k]`` for ``k`` in
+    ``indptr[r]:indptr[r+1]``: O(N + E) memory, and ``op @ x`` is one
+    gather, scale and segment sum over the stored entries. ``T`` is the
+    stored transpose, built from ``transpose``'s ``(indptr, cols, vals)``,
+    or the operator itself when none is given (a symmetric operator). Only
+    :func:`edge_list_operator` builds one, and every row it packs holds its
+    self-loop: ``reduceat`` returns ``x[indptr[r]]`` for an empty segment,
+    not zero.
+    """
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    transpose: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
+    T: EdgeList = field(init=False, repr=False)
+
+    def __post_init__(self, transpose) -> None:
+        t = self if transpose is None else EdgeList(*transpose)
+        object.__setattr__(self, "T", t)
+        object.__setattr__(t, "T", self)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.shape[0] - 1
+        return (n, n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.vals[:, None] * x[self.cols], self.indptr[:-1], axis=0)
+
+
 @dataclass(frozen=True, kw_only=True)
 class PropGraph:
     """Runtime form of an event: normalized adjacency plus feature matrix.
 
     The graph owns propagation, the ``Â·H`` half of every GCN layer:
     ``propagate(x)`` is ``Â @ x`` and ``propagate_back(g)`` is ``Â.T @ g``,
-    and no other module reads the operator. It is held in one of two forms,
-    checked against the feature rows at construction. ``to_prop_graph``
-    fills either form from the same :func:`normalized_entries`, so they hold
-    the same entries bit for bit:
-
-    - dense: ``adj_norm`` is the N x N matrix, and the products are BLAS
-      matrix products;
-    - edge list: ``csr_indptr``/``csr_cols``/``csr_vals`` hold ``Â`` in
-      compressed sparse rows, O(N + E) memory, and each product is one
-      gather, scale and segment sum over the stored entries. Each array has
-      one row per operator: row 0 is ``Â`` and the last row is ``Â.T``, so a
-      symmetric operator is stored once. Every row of ``Â`` has its
-      self-loop, so no segment is empty.
-
-    ``to_prop_graph`` picks the form from the node count alone, at
-    :data:`EDGE_LIST_MIN_NODES`. Measured on a 2-vCPU VM with OpenBLAS,
+    and no other module reads the operator. ``adj_norm`` is ``Â``, anything
+    with ``shape``, ``@`` and ``.T``, checked against the feature rows at
+    construction. ``to_prop_graph`` fills it from :func:`normalized_entries`
+    as a dense array (BLAS products) below :data:`EDGE_LIST_MIN_NODES`
+    nodes and as an :class:`EdgeList` from there on, so both forms hold the
+    same entries bit for bit. Measured on a 2-vCPU VM with OpenBLAS,
     evaluating one event (30 adaptation steps, d_hidden 16) takes about
     30 ms at 300 nodes on the dense path. At 2000 nodes it takes about
     0.65 s dense, where the adjacency alone holds 32 MB, and 0.24 s as an
@@ -105,24 +130,15 @@ class PropGraph:
     """
 
     features: np.ndarray
-    adj_norm: np.ndarray | None = None
-    csr_indptr: np.ndarray | None = None
-    csr_cols: np.ndarray | None = None
-    csr_vals: np.ndarray | None = None
+    adj_norm: np.ndarray | EdgeList
     ax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
-        csr = (self.csr_indptr, self.csr_cols, self.csr_vals)
-        if self.adj_norm is not None:
-            if any(a is not None for a in csr):
-                raise ValueError("give the dense adjacency or the edge-list operator, not both")
-            if self.adj_norm.shape != (n, n):
-                raise ValueError(
-                    f"adjacency {self.adj_norm.shape} does not match features {self.features.shape}"
-                )
-        else:
-            _check_csr(*csr, self.features.shape)
+        if self.adj_norm.shape != (n, n):
+            raise ValueError(
+                f"adjacency {self.adj_norm.shape} does not match features {self.features.shape}"
+            )
         object.__setattr__(self, "ax", self.propagate(self.features))
 
     @property
@@ -131,50 +147,12 @@ class PropGraph:
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
         """``Â @ x``: each node mixes its neighbours' rows of ``x``."""
-        if self.adj_norm is not None:
-            return self.adj_norm @ x
-        return csr_product(self.csr_indptr[0], self.csr_cols[0], self.csr_vals[0], x)
+        return self.adj_norm @ x
 
     def propagate_back(self, g: np.ndarray) -> np.ndarray:
         """``Â.T @ g``: the gradient at ``x`` of ``propagate(x)``, given the
         gradient ``g`` at its output."""
-        if self.adj_norm is not None:
-            return self.adj_norm.T @ g
-        return csr_product(self.csr_indptr[-1], self.csr_cols[-1], self.csr_vals[-1], g)
-
-
-def _check_csr(indptr, cols, vals, features_shape: tuple[int, ...]) -> None:
-    """Reject an edge-list operator that does not fit ``features_shape``."""
-    if indptr is None or cols is None or vals is None:
-        raise ValueError("a graph needs adj_norm or all of csr_indptr, csr_cols, csr_vals")
-    n = features_shape[0]
-    what = f"edge-list operator (indptr {indptr.shape}, cols {cols.shape}, vals {vals.shape})"
-    if not (
-        indptr.ndim == cols.ndim == 2
-        and indptr.shape[0] in (1, 2)
-        and indptr.shape[1] == n + 1
-        and cols.shape == vals.shape
-        and cols.shape[0] == indptr.shape[0]
-    ):
-        raise ValueError(f"{what} does not match features {features_shape}")
-    if np.any(indptr[:, 0] != 0) or np.any(indptr[:, -1] != cols.shape[1]):
-        raise ValueError(f"{what}: indptr must run from 0 to {cols.shape[1]}")
-    if np.any(np.diff(indptr, axis=1) <= 0):
-        raise ValueError(f"{what} has an empty row; every node needs its self-loop")
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        raise ValueError(f"{what} has a column out of range for features {features_shape}")
-
-
-def csr_product(
-    indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """``M @ x`` for ``M`` in compressed sparse rows: row ``r`` of ``M`` holds
-    ``vals[k]`` at column ``cols[k]`` for ``k`` in ``indptr[r]:indptr[r+1]``.
-
-    ``reduceat`` returns ``x[indptr[r]]`` for an empty segment rather than
-    zero, so every row must hold at least one entry (``PropGraph`` checks).
-    """
-    return np.add.reduceat(vals[:, None] * x[cols], indptr[:-1], axis=0)
+        return self.adj_norm.T @ g
 
 
 def normalized_entries(
@@ -215,20 +193,17 @@ def normalized_entries(
 
 def edge_list_operator(
     edges: Sequence[tuple[int, int]], n: int, mode: AdjacencyMode = "undirected"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`normalized_entries` packed in compressed sparse rows.
-
-    Returns ``(indptr, cols, vals)`` in the stacked form ``PropGraph`` holds:
-    one row for the symmetric ``undirected`` operator, and for ``directed``
-    a second row with its transpose.
-    """
+) -> EdgeList:
+    """:func:`normalized_entries` packed as an :class:`EdgeList`. The
+    ``undirected`` operator is symmetric, so its ``T`` is itself; for
+    ``directed`` the transpose is packed too."""
     r, c, vals = normalized_entries(edges, n, mode)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
     if mode == "undirected":
-        return indptr[None, :], c[None, :], vals[None, :]
+        return EdgeList(indptr, c, vals)
     order = np.argsort(c * n + r)
     indptr_t = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n))])
-    return np.stack([indptr, indptr_t]), np.stack([c, r[order]]), np.stack([vals, vals[order]])
+    return EdgeList(indptr, c, vals, transpose=(indptr_t, r[order], vals[order]))
 
 
 def to_prop_graph(event: PropagationEvent, mode: AdjacencyMode = "undirected") -> PropGraph:
@@ -238,8 +213,7 @@ def to_prop_graph(event: PropagationEvent, mode: AdjacencyMode = "undirected") -
     features = np.array(event.features, dtype=np.float64)
     n = event.num_nodes
     if n >= EDGE_LIST_MIN_NODES:
-        indptr, cols, vals = edge_list_operator(event.edges, n, mode)
-        return PropGraph(features=features, csr_indptr=indptr, csr_cols=cols, csr_vals=vals)
+        return PropGraph(features=features, adj_norm=edge_list_operator(event.edges, n, mode))
     rows, cols, vals = normalized_entries(event.edges, n, mode)
     adj = np.zeros((n, n))
     adj[rows, cols] = vals

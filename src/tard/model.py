@@ -325,7 +325,7 @@ def objective(
     elif grad_main is not None:
         grad_main = graph.propagate_back(grad_main)
     if stats is not None:
-        out.l_c, grad_c, _ = constraint_loss(stats, h)
+        out.l_c, grad_c = constraint_loss(stats, h)
         if grad and w_c != 0.0:
             grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
     for g_h, caches in ((grad_main, sh_caches), (grad_h0, sh_caches), (grad_h1, sh1_caches)):
@@ -383,29 +383,24 @@ def constraint_value(train_stats: EmbeddingStats, test_stats: EmbeddingStats) ->
 
 def constraint_loss(
     train_stats: EmbeddingStats, test_h: np.ndarray
-) -> tuple[float, np.ndarray, EmbeddingStats]:
+) -> tuple[float, np.ndarray]:
     """Alignment penalty of test-side embeddings against training stats.
 
-    Train-side stats are constants. Returns (value, grad w.r.t. test_h,
-    test-side stats). For node embeddings h_i with mean mu_t and population
-    covariance eta_t:
+    Train-side stats are constants. Returns (value, grad w.r.t. test_h).
+    For node embeddings h_i with mean mu_t and population covariance eta_t:
 
       d/dh_i = (2/N)(mu_t - mu) + (4/N)(eta_t - eta)(h_i - mu_t)
 
     with the covariance part dropped when N = 1.
     """
     stats = embedding_stats(test_h)
-    if train_stats.mu.shape != stats.mu.shape:
-        raise ValueError(
-            f"stats dims differ: {train_stats.mu.shape} vs {stats.mu.shape}"
-        )
     n = stats.count
     value = constraint_value(train_stats, stats)
     grad = 2.0 / n * (stats.mu - train_stats.mu)[None, :]
     if n > 1:
         centered = test_h - stats.mu
         grad = grad + 4.0 / n * centered @ (stats.eta - train_stats.eta)
-    return value, grad, stats
+    return value, grad
 
 
 def snapshot(params: TardParams) -> TardParams:

@@ -403,6 +403,16 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
+def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
+    """``(name, value, dims value)`` of the first architecture field that
+    ``values`` gives and ``dims`` contradicts; None when they agree."""
+    for name in ("d_hidden", "shared_layers", "main_layers", "ssl_layers"):
+        have = getattr(dims, name)
+        if name in values and values[name] != have:
+            return name, values[name], have
+    return None
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read and validate a checkpoint; any defect raises ValueError naming it."""
     try:
@@ -423,6 +433,12 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         raise ValueError(f"checkpoint {path} is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:  # unknown or missing fields of config or dims
         raise ValueError(f"invalid checkpoint {path}: {exc}") from exc
+    bad = architecture_mismatch(rec["config"], model.params.dims)
+    if bad is not None:
+        name, value, have = bad
+        raise ValueError(
+            f"checkpoint {path}: 'config.{name}' is {value}, but 'params.dims' gives {have}"
+        )
     d = model.params.dims.d_hidden
     if model.train_stats.mu.shape != (d,):
         raise ValueError(

@@ -387,6 +387,10 @@ class TestEval:
             (_transpose_theta_e0, "theta_e.0"),
             (lambda rec: rec["train_stats"].update(mu=[0.0], eta=[[0.0]]), "train_stats"),
             (_add_theta_s7, "theta_s.7"),
+            (
+                lambda rec: rec["config"].update(d_hidden=64),
+                "'config.d_hidden' is 64, but 'params.dims' gives 4",
+            ),
         ],
         ids=[
             "config-key",
@@ -395,6 +399,7 @@ class TestEval:
             "transposed-matrix",
             "stats-dim",
             "unknown-matrix",
+            "config-arch",
         ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(

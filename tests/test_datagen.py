@@ -357,6 +357,32 @@ class TestDatasetFiles:
         with pytest.raises(InvalidEventError):
             event_from_json_dict(rec)
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("label", 0.9, "'label' is 0.9"),
+            ("label", True, "'label' is True"),
+            ("label", "1", "'label' is '1'"),
+            ("edges", [[0, 1.7]], r"'edges' entry \[0, 1.7\]"),
+            ("edges", [[0, 1], [True, 2]], r"'edges' entry \[True, 2\]"),
+            ("edges", [["0", "1"]], r"'edges' entry \['0', '1'\]"),
+        ],
+        ids=["label-float", "label-bool", "label-string", "edge-float", "edge-bool", "edge-strings"],
+    )
+    def test_non_integer_label_or_node_index_names_line(self, tmp_path, field, value, named):
+        events = generate_domain(_spec(num_events=2))
+        recs = [event_to_json_dict(e) for e in events]
+        recs[1][field] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+        with pytest.raises(InvalidEventError, match=f"line 2: {named}"):
+            read_dataset(path)
+
+    def test_event_without_edges_is_valid(self):
+        rec = {"id": "x", "label": 1, "edges": [], "features": [[1.0], [2.0]]}
+        event = event_from_json_dict(rec)
+        assert (event.label, event.edges, event.num_nodes) == (1, [], 2)
+
     def test_400_event_round_trip_under_one_second(self, tmp_path):
         events = generate_domain(_spec(num_events=400, size_dist=(10, 60), seed=2))
         path = tmp_path / "big.jsonl"

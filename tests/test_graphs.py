@@ -1,6 +1,5 @@
 """Graph container, adjacency normalization and propagation."""
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,9 @@ from tard.graphs import (
     to_prop_graph,
 )
 
-#: The attributes that hold a graph's operator; only graphs.py names them.
-OPERATOR_ATTRIBUTES = ("adj_norm", "csr_indptr", "csr_cols", "csr_vals")
+#: The names of a graph's operator and its edge-list form; only graphs.py
+#: names them.
+OPERATOR_ATTRIBUTES = ("adj_norm", "EdgeList")
 
 
 def _event(edges, features, label=0, event_id="t"):
@@ -184,6 +184,8 @@ class TestPropGraph:
             PropGraph(adj_norm=np.eye(3)[:2], features=np.zeros((2, 1)))
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2\)"):
             PropGraph(adj_norm=np.eye(2), features=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"\(3, 3\).*\(4, 1\)"):
+            PropGraph(adj_norm=edge_list_operator([(0, 1)], 3), features=np.zeros((4, 1)))
 
     def test_num_nodes_reads_the_feature_rows(self):
         assert PropGraph(adj_norm=np.eye(3), features=np.zeros((3, 2))).num_nodes == 3
@@ -215,14 +217,13 @@ def _tree_edges(rng, n):
 
 
 def _edge_list_graph(edges, n, mode):
-    indptr, cols, vals = edge_list_operator(edges, n, mode)
-    return PropGraph(features=np.zeros((n, 1)), csr_indptr=indptr, csr_cols=cols, csr_vals=vals)
+    return PropGraph(features=np.zeros((n, 1)), adj_norm=edge_list_operator(edges, n, mode))
 
 
-def _densify(indptr, cols, vals, n):
-    """The N x N matrix a compressed-sparse-rows triple stands for."""
-    m = np.zeros((n, n))
-    m[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
+def _densify(op):
+    """The N x N matrix an edge-list operator stands for."""
+    m = np.zeros(op.shape)
+    m[np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)), op.cols] = op.vals
     return m
 
 
@@ -244,10 +245,12 @@ class TestEdgeListOperator:
     def test_matches_the_dense_operator(self, case, mode):
         edges, n = EDGE_CASES[case]
         dense = _reference_operator(edges, n, mode)
-        indptr, cols, vals = edge_list_operator(edges, n, mode)
-        assert indptr.shape[0] == (1 if mode == "undirected" else 2)
-        assert _densify(indptr[0], cols[0], vals[0], n).tobytes() == dense.tobytes()
-        assert _densify(indptr[-1], cols[-1], vals[-1], n).tobytes() == dense.T.tobytes()
+        op = edge_list_operator(edges, n, mode)
+        assert op.shape == (n, n)
+        assert (op.T is op) == (mode == "undirected")
+        assert op.T.T is op
+        assert _densify(op).tobytes() == dense.tobytes()
+        assert _densify(op.T).tobytes() == dense.T.tobytes()
         g = _edge_list_graph(edges, n, mode)
         x = np.random.default_rng(n).standard_normal((n, 6))
         assert np.max(np.abs(g.propagate(x) - dense @ x)) <= 1e-15
@@ -285,29 +288,6 @@ class TestEdgeListOperator:
         with pytest.raises(ValueError, match="bogus"):
             edge_list_operator([], 2, mode="bogus")
 
-    def test_rejects_malformed_operators(self):
-        indptr, cols, vals = edge_list_operator([(0, 1), (1, 2)], 3)
-        ok = {"csr_indptr": indptr, "csr_cols": cols, "csr_vals": vals}
-        features = np.zeros((3, 1))
-        bad = {
-            "indptr-length": {**ok, "csr_indptr": indptr[:, :-1]},
-            "cols-vals-mismatch": {**ok, "csr_vals": vals[:, :-1]},
-            "col-out-of-range": {**ok, "csr_cols": cols + 1},
-            "empty-row": {**ok, "csr_indptr": np.array([[0, 0, 4, 7]])},
-            "indptr-end": {**ok, "csr_indptr": indptr - 1},
-        }
-        for name, arrays in bad.items():
-            shapes = (
-                f"indptr {arrays['csr_indptr'].shape}, cols {arrays['csr_cols'].shape}, "
-                f"vals {arrays['csr_vals'].shape}"
-            )
-            with pytest.raises(ValueError, match=re.escape(shapes)):
-                PropGraph(features=features, **arrays)
-        with pytest.raises(ValueError, match="csr_vals"):
-            PropGraph(features=features, csr_indptr=indptr, csr_cols=cols)
-        with pytest.raises(ValueError, match="not both"):
-            PropGraph(features=features, adj_norm=np.eye(3), **ok)
-
 
 class TestEdgeListThreshold:
     @pytest.mark.parametrize("mode", ["undirected", "directed"])
@@ -321,12 +301,10 @@ class TestEdgeListThreshold:
         monkeypatch.setattr(graphs, "EDGE_LIST_MIN_NODES", n)
         edge_list = to_prop_graph(event, mode)
         assert dense.adj_norm.tobytes() == expected.tobytes()
-        assert edge_list.adj_norm is None
-        for row, want in ((0, expected), (-1, expected.T)):
-            got = _densify(
-                edge_list.csr_indptr[row], edge_list.csr_cols[row], edge_list.csr_vals[row], n
-            )
-            assert got.tobytes() == want.tobytes()
+        assert isinstance(dense.adj_norm, np.ndarray)
+        assert isinstance(edge_list.adj_norm, graphs.EdgeList)
+        assert _densify(edge_list.adj_norm).tobytes() == expected.tobytes()
+        assert _densify(edge_list.adj_norm.T).tobytes() == expected.T.tobytes()
 
     def test_below_the_threshold_the_graph_stays_dense(self):
         # Every cascade below the threshold keeps the dense products bit for
@@ -338,7 +316,7 @@ class TestEdgeListThreshold:
         n = EDGE_LIST_MIN_NODES - 1
         rng = np.random.default_rng(2)
         g = to_prop_graph(_event(_tree_edges(rng, n), rng.standard_normal((n, 3))))
-        assert g.adj_norm is not None and g.csr_indptr is None
+        assert isinstance(g.adj_norm, np.ndarray)
         assert g.ax.tobytes() == (g.adj_norm @ g.features).tobytes()
 
     @pytest.mark.parametrize("mode", ["undirected", "directed"])
@@ -347,7 +325,7 @@ class TestEdgeListThreshold:
         rng = np.random.default_rng(3)
         ev = _event(_tree_edges(rng, n), rng.standard_normal((n, 3)))
         g = to_prop_graph(ev, mode)
-        assert g.adj_norm is None
+        assert isinstance(g.adj_norm, graphs.EdgeList)
         dense = _reference_operator(ev.edges, n, mode)
         assert g.propagate(np.eye(n)).tobytes() == dense.tobytes()
         assert np.max(np.abs(g.ax - dense @ ev.features)) <= 1e-15

@@ -444,24 +444,23 @@ class TestAdjacencyProducts:
 
 
 class TestEdgeListAdjacencyProducts(TestAdjacencyProducts):
-    """The same counts on the edge-list path, where each product is one call
-    of the CSR kernel."""
+    """The same counts on the edge-list path, where each product is one
+    ``EdgeList @ x``."""
 
     @pytest.fixture(autouse=True)
     def _count_kernel_calls(self, monkeypatch):
-        kernel = graphs.csr_product
+        kernel = graphs.EdgeList.__matmul__
 
-        def counting(*args):
+        def counting(op, x):
             _CountingAdjacency.products += 1
-            return kernel(*args)
+            return kernel(op, x)
 
-        monkeypatch.setattr(graphs, "csr_product", counting)
+        monkeypatch.setattr(graphs.EdgeList, "__matmul__", counting)
 
     def _graphs(self, rng):
         event = make_random_event(rng, 7, 4)
-        indptr, cols, vals = graphs.edge_list_operator(event.edges, 7)
         graph = PropGraph(
-            features=event.features, csr_indptr=indptr, csr_cols=cols, csr_vals=vals
+            features=event.features, adj_norm=graphs.edge_list_operator(event.edges, 7)
         )
         return graph, graph
 
@@ -524,22 +523,24 @@ class TestConstraint:
         train = EmbeddingStats(
             mu=np.zeros(2), eta=np.array([[5.0, 0.0], [0.0, 5.0]]), count=10
         )
-        value, grad, stats = constraint_loss(train, np.array([[1.0, 0.0]]))
+        value, grad = constraint_loss(train, np.array([[1.0, 0.0]]))
         assert value == 1.0  # mean term only; eta mismatch ignored at N=1
         npt.assert_allclose(grad, [[2.0, 0.0]], atol=1e-15)
 
     def test_rejects_dim_mismatch(self):
         a = EmbeddingStats(mu=np.zeros(2), eta=np.zeros((2, 2)), count=2)
         b = EmbeddingStats(mu=np.zeros(3), eta=np.zeros((3, 3)), count=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"stats dims differ: \(2,\) vs \(3,\)"):
             constraint_value(a, b)
+        with pytest.raises(ValueError, match=r"stats dims differ: \(2,\) vs \(3,\)"):
+            constraint_loss(a, np.zeros((2, 3)))
 
     def test_gradient_matches_finite_difference(self, rng):
         train = embedding_stats(rng.standard_normal((20, 3)))
         h = Parameter(rng.standard_normal((6, 3)))
 
         def loss_fn():
-            value, grad, _ = constraint_loss(train, h.value)
+            value, grad = constraint_loss(train, h.value)
             return value, {"h": grad}
 
         report = finite_difference_check(loss_fn, [("h", h)])

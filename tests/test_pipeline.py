@@ -1,6 +1,7 @@
 """Training, per-sample test-time adaptation, evaluation modes, checkpoints."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -338,10 +339,10 @@ class TestEdgeListThreshold:
         model = with_config(model, adjacency=mode, adaptation_mode=adaptation)
         n = graphs.EDGE_LIST_MIN_NODES
         events = _events(n=2, nodes=n, dim=4, seed=21)
-        assert to_prop_graph(events[0], mode).csr_indptr is not None
+        assert isinstance(to_prop_graph(events[0], mode).adj_norm, graphs.EdgeList)
         edge_list = evaluate(events, model)
         monkeypatch.setattr(graphs, "EDGE_LIST_MIN_NODES", n + 1)
-        assert to_prop_graph(events[0], mode).csr_indptr is None
+        assert isinstance(to_prop_graph(events[0], mode).adj_norm, np.ndarray)
         dense = evaluate(events, model)
         assert [r.pred for r in edge_list] == [r.pred for r in dense]
         npt.assert_allclose(
@@ -404,6 +405,18 @@ class TestCheckpoints:
         ckpt = tmp_path / "extra.json"
         ckpt.write_text(json.dumps(rec))
         with pytest.raises(ValueError, match="unknown matrix 'theta_s.7'"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("name", ["d_hidden", "shared_layers", "main_layers", "ssl_layers"])
+    def test_rejects_config_that_contradicts_dims(self, separable_model, tmp_path, name):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        have = rec["params"]["dims"][name]
+        rec["config"][name] = have + 1
+        ckpt = tmp_path / "arch.json"
+        ckpt.write_text(json.dumps(rec))
+        named = f"checkpoint {ckpt}: 'config.{name}' is {have + 1}, but 'params.dims' gives {have}"
+        with pytest.raises(ValueError, match=re.escape(named)):
             load_checkpoint(ckpt)
 
     def test_with_config_shares_params(self, separable_model):
