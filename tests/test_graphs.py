@@ -1,5 +1,6 @@
 """Graph container, adjacency normalization and propagation."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,127 @@ class TestEdgeListOperator:
             edge_list_operator([(1, 5)], 3)
         with pytest.raises(ValueError, match="bogus"):
             edge_list_operator([], 2, mode="bogus")
+
+
+def _reduceat_product(op, x):
+    """``op @ x`` as one segment sum over the stored entries: the reference
+    whose bits the bucketed kernel keeps."""
+    return np.add.reduceat(op.vals[:, None] * x[op.cols], op.indptr[:-1], axis=0)
+
+
+def _assert_same_bits(op, x):
+    # inf - inf and 1e308 + 1e308 are part of the comparison.
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, expected = op @ x, _reduceat_product(op, x)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _star(leaves):
+    return [(0, k) for k in range(1, leaves + 1)], leaves + 1
+
+
+#: Row lengths on both sides of the bucket cap: a hub row of cap - 1 and cap
+#: leaves holds cap and cap + 1 entries with its self-loop.
+STARS = {
+    f"star-{leaves}": _star(leaves)
+    for leaves in (1, graphs.BUCKET_MAX_ENTRIES - 1, graphs.BUCKET_MAX_ENTRIES, 30)
+}
+
+SPECIAL_VALUES = (-0.0, np.inf, -np.inf, 1e308, -1e308)
+
+
+def _inputs(rng, n, special=False):
+    """Inputs of 1, 8 and 32 columns, plus a non-contiguous column slice of
+    a wider array; with ``special``, some entries are -0.0, +-inf or
+    +-1e308."""
+    xs = [rng.standard_normal((n, d)) for d in (1, 8, 32)]
+    xs.append(rng.standard_normal((n, 17))[:, 3::2])
+    if special:
+        for x in xs:
+            hit = rng.random(x.shape) < 0.3
+            x[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
+    return xs
+
+
+class TestBucketedProduct:
+    """``EdgeList @ x`` keeps the bits of the one-call ``reduceat`` product."""
+
+    @pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    @pytest.mark.parametrize("case", list(EDGE_CASES) + list(STARS))
+    def test_same_bits_as_reduceat(self, case, mode, special):
+        edges, n = {**EDGE_CASES, **STARS}[case]
+        op = edge_list_operator(edges, n, mode)
+        rng = np.random.default_rng(n)
+        for x in _inputs(rng, n, special):
+            _assert_same_bits(op, x)
+            _assert_same_bits(op.T, x)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees_with_hubs(self, data):
+        # A root with 0 to n - 1 children, so its row falls on either side
+        # of the cap, under a random tree with extra edges.
+        n = data.draw(st.integers(2, 40))
+        hub = data.draw(st.integers(0, n - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edges = [(0, k) for k in range(1, hub + 1)]
+        edges += [(int(rng.integers(0, k)), k) for k in range(hub + 1, n)]
+        edges += [(int(s), int(t)) for s, t in rng.integers(0, n, size=(n // 4, 2)) if s != t]
+        special = data.draw(st.booleans())
+        for mode in ("undirected", "directed"):
+            op = edge_list_operator(edges, n, mode)
+            for x in _inputs(rng, n, special):
+                _assert_same_bits(op, x)
+                _assert_same_bits(op.T, x)
+
+    def test_nan_inputs_stay_nan_where_reduceat_puts_them(self):
+        # Only NaN inputs may come out with other payload bits.
+        edges, n = EDGE_CASES["hub"]
+        op = edge_list_operator(edges, n, "directed")
+        x = np.random.default_rng(1).standard_normal((n, 8))
+        x[[0, 3, 602], [0, 5, 7]] = np.nan
+        for o in (op, op.T):
+            assert np.isnan(o @ x).any()
+            assert np.array_equal(o @ x, _reduceat_product(o, x), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (4, 2), (2, 2), (3, 2, 1), ()], ids=["1-D", "long", "short", "3-D", "0-D"]
+    )
+    def test_rejects_anything_but_n_rows_of_columns(self, shape):
+        # On a 1-D x a segment sum would broadcast to (3, 7), and extra rows
+        # would be ignored; the error names both shapes.
+        op = edge_list_operator([(0, 1), (0, 2)], 3)
+        with pytest.raises(ValueError, match=re.escape("(3, 3)") + ".*" + re.escape(str(shape))):
+            op @ np.zeros(shape)
+
+
+class TestMalformedEdgeList:
+    """An ``EdgeList`` built by hand from bad arrays is rejected by name."""
+
+    @pytest.mark.parametrize(
+        "indptr, cols, vals, problem",
+        [
+            ([], [], [], "indptr must"),
+            ([1, 2], [0], [1.0], "indptr must"),
+            ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "decreases after row 1"),
+            ([0, 1, 2], [0, 1, 0], [1.0, 1.0, 1.0], "ends at 2"),
+            ([0, 1, 2], [0, 1], [1.0], r"vals \(1,\)"),
+            ([0, 1, 2], [0, 2], [1.0, 1.0], "column 2 out of range for 2 nodes"),
+            ([0, 1, 2], [-1, 1], [1.0, 1.0], "column -1 out of range"),
+            ([0, 1, 1, 2], [0, 2], [1.0, 1.0], "row 1 holds no entry"),
+        ],
+        ids=["empty", "offset", "decreasing", "short-cols", "short-vals", "col-high", "col-negative", "empty-row"],
+    )
+    def test_rejects(self, indptr, cols, vals, problem):
+        arrays = [np.array(indptr, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)]
+        with pytest.raises(ValueError, match=problem):
+            graphs.EdgeList(*arrays)
+        good = ([0, 1], [0], [1.0])
+        with pytest.raises(ValueError, match=problem):
+            graphs.EdgeList(*[np.array(a) for a in good], transpose=tuple(arrays))
 
 
 class TestEdgeListThreshold:
