@@ -69,10 +69,13 @@ class PropagationEvent:
 
 #: Node count from which ``to_prop_graph`` builds the edge-list operator in
 #: place of the dense N x N one. Measured per event (30 adaptation steps,
-#: d_hidden 16) on a 2-vCPU VM with OpenBLAS, the two paths cost the same at
-#: about 450 nodes undirected and 400 directed; at 500 nodes the dense path
-#: is 1.04-1.16x slower, at 300 nodes 0.87-0.90x.
-EDGE_LIST_MIN_NODES = 500
+#: d_hidden 16; three runs of 15 alternating repeats) on a 2-vCPU VM with
+#: OpenBLAS, as edge-list over dense time: 1.22-1.26 undirected and
+#: 1.17-1.18 directed at 150 nodes, 0.96-1.05 and 0.89-0.98 at 200, 0.91-0.95
+#: and 0.81-0.88 at 250, 0.89-0.93 and 0.76-0.83 at 300. From 250 nodes the
+#: edge list is faster in both modes. Shift-mid's graphs (at most 90 nodes)
+#: stay dense.
+EDGE_LIST_MIN_NODES = 250
 
 
 #: Longest row that ``EdgeList @ x`` sums position by position. For each row
@@ -145,7 +148,7 @@ class EdgeList:
             raise ValueError(f"indptr must be 1-D, start at 0 and cover a row; got {indptr!r}")
         lengths = np.diff(indptr)
         if np.any(lengths < 0):
-            raise ValueError(f"indptr decreases after row {int(np.argmax(lengths < 0))}")
+            raise ValueError(f"indptr decreases at row {int(np.argmax(lengths < 0))}")
         if self.cols.shape != (nnz,) or self.vals.shape != (nnz,) or indptr[-1] != nnz:
             raise ValueError(
                 f"indptr ends at {indptr[-1]}, but cols has shape {self.cols.shape} "
@@ -195,11 +198,12 @@ class PropGraph:
     nodes and as an :class:`EdgeList` from there on, so both forms hold the
     same entries bit for bit. Measured on a 2-vCPU VM with OpenBLAS,
     evaluating one event (30 adaptation steps, d_hidden 16) takes about
-    30 ms at 300 nodes on the dense path. At 2000 nodes it takes about
-    0.65 s dense, where the adjacency alone holds 32 MB, and 0.24 s as an
-    edge list, which holds 0.1 MB. ``ax`` is ``propagate(features)``,
-    computed once, since the extractor's first layer reads it on every pass
-    over the original view; treat the arrays as read-only afterwards.
+    35 ms at 300 nodes on the dense path and 30-34 ms as an edge list. At
+    2000 nodes it takes about 0.8 s dense, where the adjacency alone holds
+    32 MB, and 0.14 s as an edge list, which holds 0.2-0.3 MB with its row
+    buckets. ``ax`` is ``propagate(features)``, computed once, since the
+    extractor's first layer reads it on every pass over the original view;
+    treat the arrays as read-only afterwards.
     """
 
     features: np.ndarray

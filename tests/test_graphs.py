@@ -393,7 +393,7 @@ class TestMalformedEdgeList:
         [
             ([], [], [], "indptr must"),
             ([1, 2], [0], [1.0], "indptr must"),
-            ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "decreases after row 1"),
+            ([0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0], "decreases at row 1"),
             ([0, 1, 2], [0, 1, 0], [1.0, 1.0, 1.0], "ends at 2"),
             ([0, 1, 2], [0, 1], [1.0], r"vals \(1,\)"),
             ([0, 1, 2], [0, 2], [1.0, 1.0], "column 2 out of range for 2 nodes"),
