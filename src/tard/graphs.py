@@ -69,9 +69,9 @@ class PropagationEvent:
 
 #: Node count from which ``to_prop_graph`` builds the edge-list operator in
 #: place of the dense N x N one. Measured per event (30 adaptation steps,
-#: d_hidden 16; three runs of 15 alternating repeats) on a 2-vCPU VM with
-#: OpenBLAS, as edge-list over dense time: 1.22-1.26 undirected and
-#: 1.17-1.18 directed at 150 nodes, 0.96-1.05 and 0.89-0.98 at 200, 0.91-0.95
+#: d_hidden 16; three runs of 7-15 alternating repeats) on a 2-vCPU VM with
+#: OpenBLAS, as edge-list over dense time: 1.12-1.26 undirected and
+#: 1.08-1.18 directed at 150 nodes, 0.96-1.05 and 0.89-0.98 at 200, 0.91-0.95
 #: and 0.81-0.88 at 250, 0.89-0.93 and 0.76-0.83 at 300. From 250 nodes the
 #: edge list is faster in both modes. Shift-mid's graphs (at most 90 nodes)
 #: stay dense.
@@ -131,6 +131,7 @@ class EdgeList:
         rows = np.flatnonzero(lengths > BUCKET_MAX_ENTRIES)
         counts = lengths[rows]
         starts = np.cumsum(counts) - counts
+        # The long rows' entries, concatenated: row j's run begins at starts[j].
         at = np.repeat(self.indptr[rows] - starts, counts) + np.arange(counts.sum())
         object.__setattr__(self, "_buckets", buckets)
         object.__setattr__(
@@ -170,7 +171,7 @@ class EdgeList:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[0] != self.shape[1]:
             raise ValueError(f"operator {self.shape} cannot multiply an array of shape {x.shape}")
-        out = np.empty((x.shape[0], x.shape[1]), dtype=np.result_type(self.vals, x))
+        out = np.empty(x.shape, dtype=np.result_type(self.vals, x))
         for rows, cols, vals in self._buckets:
             head = vals[0] * x[cols[0]]
             if len(cols) > 1:

@@ -400,7 +400,10 @@ class TestMalformedEdgeList:
             ([0, 1, 2], [-1, 1], [1.0, 1.0], "column -1 out of range"),
             ([0, 1, 1, 2], [0, 2], [1.0, 1.0], "row 1 holds no entry"),
         ],
-        ids=["empty", "offset", "decreasing", "short-cols", "short-vals", "col-high", "col-negative", "empty-row"],
+        ids=[
+            "empty", "offset", "decreasing", "short-cols", "short-vals",
+            "col-high", "col-negative", "empty-row",
+        ],
     )
     def test_rejects(self, indptr, cols, vals, problem):
         arrays = [np.array(indptr, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(vals)]
