@@ -13,13 +13,18 @@ was adapted to (online; order-sensitive by design). Each event yields one
 Determinism: a training run is a pure function of (dataset, config). The
 config seed feeds three separate streams (init / epoch order / augmentation),
 and each evaluated event gets its own generator derived from (seed, event
-id), so episodic results do not depend on event order.
+id), so episodic results do not depend on event order. That also lets an
+episodic ``evaluate`` split its events across forked worker processes with
+no change to any record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -356,6 +361,60 @@ def _eval_one(
     return record, adapted
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_workers(test_set: Sequence[PropagationEvent], model: TrainedModel) -> int:
+    """Worker processes for ``evaluate``; 1 means the serial loop.
+
+    Only episodic adaptation is split: online mode chains events, and with no
+    adaptation step an event costs less than the fork. A daemonic process may
+    not have children, and forking a process that runs other threads can
+    deadlock the child, so both stay serial.
+    """
+    if (
+        model.config.adaptation_mode == ONLINE
+        or model.config.ttt_steps == 0
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(_usable_cpus(), len(test_set))
+
+
+#: (test_set, model, seed) of the episodic ``evaluate`` in progress. Set just
+#: before its pool forks, so the workers inherit the model instead of
+#: unpickling it; cleared when the call ends.
+_FORK_JOB: tuple[Sequence[PropagationEvent], TrainedModel, int] | None = None
+
+
+def _eval_one_index(i: int) -> EventRecord:
+    test_set, model, seed = _FORK_JOB
+    return _eval_one(test_set[i], model, seed, model.params)[0]
+
+
+def _evaluate_forked(
+    test_set: Sequence[PropagationEvent], model: TrainedModel, seed: int, workers: int
+) -> list[EventRecord]:
+    global _FORK_JOB
+    _FORK_JOB = (test_set, model, seed)
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            return pool.map(_eval_one_index, range(len(test_set)), chunksize=1)
+        finally:
+            pool.terminate()
+            pool.join()
+    finally:
+        _FORK_JOB = None
+
+
 def evaluate(
     test_set: Sequence[PropagationEvent],
     model: TrainedModel,
@@ -366,15 +425,23 @@ def evaluate(
     Episodic mode starts each event from the trained snapshot, and every
     event's randomness comes from (seed, event id), so records are a pure
     function of (model, event, seed): reordering or splitting the test set
-    cannot change any record. Online mode carries the adapted parameters over
-    to the next event; it is order-sensitive by design, and a single-event
-    stream matches episodic mode exactly.
+    cannot change any record. Episodic events therefore run in forked worker
+    processes, one per usable CPU, and the records come back in input order,
+    identical for any worker count; ``taskset -c 0`` makes the call serial.
+    Online mode carries the adapted parameters over to the next event; it is
+    order-sensitive by design, runs serially, and a single-event stream
+    matches episodic mode exactly.
     """
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
     if seed is None:
         seed = model.config.seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    workers = _fork_workers(test_set, model)
+    if workers > 1:
+        return _evaluate_forked(test_set, model, seed, workers)
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:

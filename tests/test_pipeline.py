@@ -1,7 +1,9 @@
 """Training, per-sample test-time adaptation, evaluation modes, checkpoints."""
 
 import json
+import multiprocessing
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,29 @@ def _strip_wall(records):
 
 def _online(model):
     return with_config(model, adaptation_mode="online")
+
+
+def _cpus(monkeypatch, n):
+    """Evaluate as if this process could run on n CPUs."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+
+
+def _no_pool(method=None):
+    raise AssertionError(f"evaluate asked for a {method!r} pool")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Start methods of the process pools that evaluate asks for."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
 
 
 @pytest.fixture(scope="module")
@@ -249,14 +274,84 @@ class TestEpisodicEvaluation:
         assert _strip_wall(fwd) == _strip_wall(list(reversed(rev)))
         assert all(r.steps == model.config.ttt_steps for r in fwd)
 
-    def test_single_event_calls_match_batch(self, separable_model):
+    def test_single_event_calls_match_batch(self, separable_model, monkeypatch, pools):
         """Each record is a pure function of (model, event, seed): evaluating
-        every event on its own reproduces the batch call."""
+        every event on its own reproduces the batch call, from one worker
+        process or two."""
         model, _ = separable_model
         events = _events(n=5, dim=4, seed=6)
-        batch = evaluate(events, model)
         alone = [evaluate([e], model)[0] for e in events]
-        assert _strip_wall(alone) == _strip_wall(batch)
+        by_workers = {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            by_workers[n] = _strip_wall(evaluate(events, model))
+        assert pools == ["fork"]
+        assert by_workers[1] == by_workers[2] == _strip_wall(alone)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_event_error_reaches_the_caller(
+        self, separable_model, monkeypatch, pools, cpus
+    ):
+        """A worker's exception is re-raised with its type and message, and
+        no worker process outlives the call."""
+        model, _ = separable_model
+        _cpus(monkeypatch, cpus)
+        events = _events(n=4, dim=4, seed=7)
+        events[2] = replace(events[2], features=events[2].features * 1e150)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"^non-finite values in theta_e$"
+        ):
+            evaluate(events, model)
+        assert pools == (["fork"] if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+        assert pipeline._FORK_JOB is None
+
+    @pytest.mark.parametrize(
+        "case", ["online", "one event", "no steps", "no fork", "daemonic", "threaded"]
+    )
+    def test_stays_serial(self, separable_model, monkeypatch, case):
+        """Chained, tiny or fork-unsafe evaluations never create a pool, and
+        give the serial records."""
+        model, _ = separable_model
+        events = _events(n=3, dim=4, seed=8)
+        if case == "online":
+            model = _online(model)
+        elif case == "one event":
+            events = events[:1]
+        elif case == "no steps":
+            model = with_config(model, ttt_steps=0)
+        expected = _strip_wall(evaluate(events, model))
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        if case == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        elif case == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        if case == "threaded":
+            other.start()
+        try:
+            got = _strip_wall(evaluate(events, model))
+        finally:
+            release.set()
+        if case == "threaded":
+            other.join(timeout=10)
+            assert not other.is_alive()
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed_before_adapting(self, separable_model, monkeypatch, seed):
+        model, _ = separable_model
+        adapted = []
+        monkeypatch.setattr(pipeline, "ttt_adapt", lambda *args, **kw: adapted.append(args))
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        with pytest.raises(
+            ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"
+        ):
+            evaluate(_events(n=3, dim=4, seed=9), model, seed=seed)
+        assert adapted == []
 
     def test_event_rng_keyed_by_id_not_position(self):
         a = event_rng(3, "ev-x").standard_normal(4)
