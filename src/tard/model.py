@@ -13,17 +13,19 @@ Every GCN layer is the graph's propagation (``PropGraph.propagate``, and
 ``propagate_back`` on the way back) followed by the dense half in ``nn``;
 the stack helpers here call the two in turn.
 
-Each group is one flat value buffer and one flat grad buffer; ``layout``
-names every matrix, its shape and its place in its group's buffers, and the
-matrices are views into them. ``objective`` computes any mix of the three
-loss terms and accumulates their gradients into the grad buffers; callers
-zero them per step and hand whole groups to the optimizer.
+All parameters live in one flat value buffer and one flat grad buffer.
+``layout`` names every matrix, its shape and its place in them: the groups
+lie in the order m, e, s, so each set the optimizer updates (all three
+groups, e+m, e+s) is one contiguous slice (``TardParams.span``). Groups and
+matrices are views into the two buffers. ``objective`` computes any mix of
+the three loss terms and accumulates their gradients into the grad buffer;
+callers zero a span per step and hand it to the optimizer whole.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,17 +70,17 @@ class ModelDims:
 
 
 def layout(dims: ModelDims) -> dict[str, list[tuple[str, tuple[int, int]]]]:
-    """Every matrix of the model, by group: its name and shape, in the order
-    the group's flat buffer holds them. A name ending in ``_b`` is a bias."""
+    """Every matrix of the model, by group (m, e, s): its name and shape, in
+    the order the flat buffer holds them. A name ending in ``_b`` is a bias."""
     h, c = dims.d_hidden, dims.num_classes
 
     def stack(prefix: str, first_in: int, count: int) -> list[tuple[str, tuple[int, int]]]:
         return [(f"{prefix}.{i}", (first_in if i == 0 else h, h)) for i in range(count)]
 
     return {
-        GROUP_SHARED: stack("theta_e", dims.d_in, dims.shared_layers),
         GROUP_MAIN: stack("theta_m", h, dims.main_layers)
         + [("theta_m.out_w", (h, c)), ("theta_m.out_b", (1, c))],
+        GROUP_SHARED: stack("theta_e", dims.d_in, dims.shared_layers),
         GROUP_SSL: stack("theta_s", h, dims.ssl_layers),
     }
 
@@ -87,33 +89,46 @@ def layout(dims: ModelDims) -> dict[str, list[tuple[str, tuple[int, int]]]]:
 class TardParams:
     """The three parameter groups of the Y-structure model.
 
-    Each group is one flat ``Parameter`` (a value and a grad buffer); each
-    matrix is a ``Parameter`` whose value and grad are reshaped views into
-    its group's buffers, laid out by ``layout``.
+    ``flat`` holds every value and every gradient, laid out by ``layout``.
+    Each group in ``groups`` and each matrix is a ``Parameter`` whose value
+    and grad are views into it.
     """
 
     dims: ModelDims
-    groups: dict[str, Parameter]
+    flat: Parameter
+    groups: dict[str, Parameter] = field(init=False)
     theta_e: list[Parameter] = field(init=False)
     theta_m_gcn: list[Parameter] = field(init=False)
     theta_m_out_w: Parameter = field(init=False)
     theta_m_out_b: Parameter = field(init=False)
     theta_s: list[Parameter] = field(init=False)
     _named: dict[str, list[tuple[str, Parameter]]] = field(init=False, repr=False)
+    _bounds: dict[str, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._named = {}
+        self._named, self._bounds, start = {}, {}, 0
+        value, grad = self.flat.value, self.flat.grad
         for g, entries in layout(self.dims).items():
-            buf, start, views = self.groups[g], 0, []
+            first, views = start, []
             for name, shape in entries:
                 stop = start + shape[0] * shape[1]
-                value = buf.value[start:stop].reshape(shape)
-                views.append((name, Parameter(value, buf.grad[start:stop].reshape(shape))))
+                p = Parameter(value[start:stop].reshape(shape), grad[start:stop].reshape(shape))
+                views.append((name, p))
                 start = stop
-            self._named[g] = views
+            self._named[g], self._bounds[g] = views, (first, start)
+        self.groups = {g: self.span((g,)) for g in ALL_GROUPS}
         e, m, s = ([p for _, p in self._named[g]] for g in ALL_GROUPS)
         self.theta_e, self.theta_s = e, s
         self.theta_m_gcn, self.theta_m_out_w, self.theta_m_out_b = m[:-2], m[-2], m[-1]
+
+    def span(self, groups: Sequence[str] = ALL_GROUPS) -> Parameter:
+        """The buffers of ``groups`` as one flat ``Parameter`` of views; the
+        groups must lie side by side in the layout."""
+        bounds = [self._bounds[g] for g in groups]
+        lo, hi = min(a for a, _ in bounds), max(b for _, b in bounds)
+        if hi - lo != sum(b - a for a, b in bounds):
+            raise ValueError(f"groups {tuple(groups)} are not one contiguous span")
+        return Parameter(self.flat.value[lo:hi], self.flat.grad[lo:hi])
 
     def named_parameters(
         self, groups: Iterable[str] = ALL_GROUPS
@@ -126,24 +141,22 @@ class TardParams:
             named += self._named[g]
         return named
 
-    def zero_grads(self, groups: Iterable[str] = ALL_GROUPS) -> None:
-        for g in groups:
-            self.groups[g].grad.fill(0.0)
+    def zero_grads(self, groups: Sequence[str] = ALL_GROUPS) -> None:
+        self.span(groups).grad.fill(0.0)
 
 
 def init_params(dims: ModelDims, seed: int | np.random.SeedSequence) -> TardParams:
-    """Glorot-initialized matrices and zero biases; each group draws from its
-    own stream, in ``layout`` order."""
+    """Glorot-initialized matrices and zero biases. Groups e, m, s, in that
+    order, each get a stream spawned from ``seed`` and draw their matrices
+    from it in ``layout`` order."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    groups = {}
-    for (g, entries), ss_g in zip(layout(dims).items(), ss.spawn(len(ALL_GROUPS))):
-        rng = np.random.default_rng(ss_g)
-        mats = [
-            np.zeros(r * c) if name.endswith("_b") else glorot(rng, r, c).value.ravel()
-            for name, (r, c) in entries
-        ]
-        groups[g] = Parameter(np.concatenate(mats))
-    return TardParams(dims, groups)
+    rngs = dict(zip(ALL_GROUPS, map(np.random.default_rng, ss.spawn(len(ALL_GROUPS)))))
+    mats = [
+        np.zeros(r * c) if name.endswith("_b") else glorot(rngs[g], r, c).value.ravel()
+        for g, entries in layout(dims).items()
+        for name, (r, c) in entries
+    ]
+    return TardParams(dims, Parameter(np.concatenate(mats)))
 
 
 def _run_stack(
@@ -199,30 +212,23 @@ def forward_shared(
     return _run_stack(graph, graph.ax, params.theta_e, acts)
 
 
-@dataclass
-class MainCache:
-    gcn_caches: list[GcnCache]
-    g: np.ndarray  # readout vector
-    logits: np.ndarray  # shape (num_classes,)
-    num_nodes: int
-
-
-def forward_main(
-    shared_h: np.ndarray,
-    graph: PropGraph,
-    params: TardParams,
-    ah: np.ndarray | None = None,
-) -> tuple[np.ndarray, MainCache]:
-    """Class probabilities from the classification head. ``ah`` is
-    ``graph.propagate(shared_h)`` when the caller already has it."""
-    if ah is None:
-        ah = graph.propagate(shared_h)
+def _main_head(
+    graph: PropGraph, params: TardParams, ah: np.ndarray
+) -> tuple[list[GcnCache], np.ndarray, np.ndarray]:
+    """The classification head up to its logits, from the extractor output
+    already propagated over the graph (``ah``). Returns its GCN caches, the
+    readout vector and the logits."""
     acts = ["relu"] * len(params.theta_m_gcn)
     h, caches = _run_stack(graph, ah, params.theta_m_gcn, acts)
     g = mean_readout(h)
-    logits = g @ params.theta_m_out_w.value + params.theta_m_out_b.value[0]
-    probs = softmax(logits[None, :])[0]
-    return probs, MainCache(gcn_caches=caches, g=g, logits=logits, num_nodes=h.shape[0])
+    return caches, g, g @ params.theta_m_out_w.value + params.theta_m_out_b.value[0]
+
+
+def forward_main(shared_h: np.ndarray, graph: PropGraph, params: TardParams) -> tuple:
+    """Class probabilities from the classification head, and its
+    ``_main_head`` intermediates."""
+    cache = _main_head(graph, params, graph.propagate(shared_h))
+    return softmax(cache[2][None, :])[0], cache
 
 
 def forward_ssl(
@@ -299,22 +305,22 @@ def objective(
 
     grad_main = None  # the main head's gradient at adj @ h
     if label is not None:
-        ah = head[0].ah[:, :d] if head is not None else None
-        _, cache = forward_main(h, graph, params, ah=ah)
-        out.l_m, grad_logits = softmax_cross_entropy(cache.logits[None, :], np.array([label]))
+        ah = head[0].ah[:, :d] if head is not None else graph.propagate(h)
+        main_caches, g, logits = _main_head(graph, params, ah)
+        out.l_m, grad_logits = softmax_cross_entropy(logits[None, :], np.array([label]))
         if grad:
             grad_logits = grad_logits[0]
-            params.theta_m_out_w.grad += np.outer(cache.g, grad_logits)
-            params.theta_m_out_b.grad += grad_logits[None, :]
+            params.theta_m_out_w.grad += g[:, None] * grad_logits
+            params.theta_m_out_b.grad += grad_logits
             grad_g = params.theta_m_out_w.value @ grad_logits
-            grad_h = mean_readout_backward(grad_g, cache.num_nodes)
-            grad_main = _backward_stack(graph, cache.gcn_caches, params.theta_m_gcn, grad_h)
+            grad_h = mean_readout_backward(grad_g, h.shape[0])
+            grad_main = _backward_stack(graph, main_caches, params.theta_m_gcn, grad_h)
 
     grad_h0 = grad_h1 = None  # upstream at the extractor output, per view
     if perm is not None and grad:
-        # g0 = mean(h0), so the readout gradient folds back into h0.
-        g_h0 = g_h0 + mean_readout_backward(g_g0, h0.shape[0])
-        up = np.concatenate([w_s * g_h0, w_s * g_h1], axis=1)
+        # g0 = mean(h0), so the readout gradient, 1/N of g_g0, adds to every row.
+        g_h0 = g_h0 + g_g0 / h0.shape[0]
+        up = w_s * np.concatenate([g_h0, g_h1], axis=1)
         grads = _backward_stack(graph, head, params.theta_s, up)
         if grad_main is None:
             grads = graph.propagate_back(grads)
@@ -348,7 +354,7 @@ def embedding_stats(h: np.ndarray) -> EmbeddingStats:
     n = h.shape[0]
     if n < 1:
         raise ValueError("need at least one node")
-    mu = h.mean(axis=0)
+    mu = mean_readout(h)
     centered = h - mu
     eta = centered.T @ centered / n
     eta = (eta + eta.T) / 2.0  # exact symmetry despite float round-off
@@ -405,9 +411,7 @@ def constraint_loss(
 
 def snapshot(params: TardParams) -> TardParams:
     """Deep value copy with zeroed gradients; safe to stash and share."""
-    return TardParams(
-        params.dims, {g: Parameter(p.value.copy()) for g, p in params.groups.items()}
-    )
+    return TardParams(params.dims, Parameter(params.flat.value.copy()))
 
 
 # --- serialization ----------------------------------------------------------
@@ -429,8 +433,6 @@ def _checked_array(name: str, data: object, shape: tuple[int, ...]) -> np.ndarra
 
 def params_to_record(params: TardParams) -> dict:
     """JSON-safe record of dims plus all named matrices (row-major values)."""
-    from dataclasses import asdict
-
     return {
         "dims": asdict(params.dims),
         "matrices": {name: _matrix_record(p) for name, p in params.named_parameters()},
@@ -451,15 +453,12 @@ def params_from_record(rec: dict) -> TardParams:
             )
         return _checked_array(name, mats[name]["data"], shape).ravel()
 
-    lay = layout(dims)
-    groups = {
-        g: Parameter(np.concatenate([take(name, shape) for name, shape in entries]))
-        for g, entries in lay.items()
-    }
-    unknown = sorted(set(mats) - {name for entries in lay.values() for name, _ in entries})
+    entries = [entry for group in layout(dims).values() for entry in group]
+    flat = np.concatenate([take(name, shape) for name, shape in entries])
+    unknown = sorted(set(mats) - {name for name, _ in entries})
     if unknown:
         raise ValueError(f"checkpoint has unknown matrix {unknown[0]!r}")
-    return TardParams(dims, groups)
+    return TardParams(dims, Parameter(flat))
 
 
 def group_bytes(params: TardParams, group: str) -> bytes:

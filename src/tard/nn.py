@@ -8,7 +8,7 @@ matching forward map, which the tests verify by central differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,17 +51,14 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Parameter:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, without overflow for large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Elementwise logistic function, without overflow for large |x|: one
+    exp(-|x|), taken as ``minimum(x, -x)`` so that a NaN keeps its sign."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
-@dataclass
-class GcnCache:
+class GcnCache(NamedTuple):
     """Intermediates of one gcn_forward call, enough for the exact backward."""
 
     w: np.ndarray
@@ -108,13 +105,10 @@ def gcn_backward(
     """
     if upstream.shape != cache.z.shape:
         raise ValueError(f"upstream {upstream.shape} does not match output {cache.z.shape}")
-    if cache.activation == "relu":
-        dz = upstream * (cache.z > 0.0)
-    else:
-        dz = upstream
+    dz = upstream * (cache.z > 0.0) if cache.activation == "relu" else upstream
     d_in, d_out = cache.w.shape
     grad_ws: list[np.ndarray] = []
-    grad_ah = []
+    grad_ah: list[np.ndarray] = []
     for v in range(dz.shape[1] // d_out):
         g = dz[:, v * d_out : (v + 1) * d_out]
         grad_ws.append(cache.ah[:, v * d_in : (v + 1) * d_in].T @ g)
@@ -126,8 +120,9 @@ def gcn_backward(
 
 
 def mean_readout(h: np.ndarray) -> np.ndarray:
-    """Column-wise mean of node embeddings: the global graph representation."""
-    return h.mean(axis=0)
+    """Column-wise mean of node embeddings: the global graph representation
+    (``h.mean(axis=0)``'s sum and division, without its Python wrapper)."""
+    return np.add.reduce(h, axis=0) / h.shape[0]
 
 
 def mean_readout_backward(grad_out: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -155,15 +150,16 @@ def contrastive_loss(
     # One sigmoid over both views: positive-pair scores, then negative-pair.
     pq = sigmoid(np.concatenate([h0 @ g0, h1 @ g0]))
     p, q = pq[:n], pq[n:]
+    not_q = 1.0 - q
     pos_arg = np.maximum(p, LOG_EPS)
-    neg_arg = np.maximum(1.0 - q, LOG_EPS)
+    neg_arg = np.maximum(not_q, LOG_EPS)
     loss = -(np.log(pos_arg).sum() + np.log(neg_arg).sum()) / (2.0 * n)
     # d/ds log(sigmoid(s)) = 1 - p ; d/dt log(1 - sigmoid(t)) = -q,
     # zeroed where the clamp is active.
     ds = np.where(p > LOG_EPS, -(1.0 - p) / (2.0 * n), 0.0)
-    dt = np.where(1.0 - q > LOG_EPS, q / (2.0 * n), 0.0)
-    grad_h0 = ds[:, None] * g0[None, :]
-    grad_h1 = dt[:, None] * g0[None, :]
+    dt = np.where(not_q > LOG_EPS, q / (2.0 * n), 0.0)
+    grad_h0 = ds[:, None] * g0
+    grad_h1 = dt[:, None] * g0
     grad_g0 = ds @ h0 + dt @ h1
     return float(loss), grad_h0, grad_h1, grad_g0
 
@@ -185,13 +181,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     b, c = logits.shape
     if labels.shape != (b,) or labels.dtype.kind not in "iu":
         raise ValueError(f"labels {labels.shape} {labels.dtype} vs logits {logits.shape}")
-    if not np.all((labels >= 0) & (labels < c)):
+    if not ((labels >= 0) & (labels < c)).all():
         raise ValueError(f"labels {labels.tolist()} outside [0, {c})")
     rows = np.arange(b)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -log_probs[rows, labels].sum() / b
-    grad = softmax(logits)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(shifted - np.log(total))[rows, labels].sum() / b
+    grad = e / total  # softmax(logits), bit for bit
     grad[rows, labels] -= 1.0
     return float(loss), grad / b
 
@@ -213,9 +210,9 @@ def adam_step(named_params: Sequence[tuple[str, Parameter]], state: AdamState) -
     """One Adam update with bias correction over the given parameters.
 
     Parameters not present in ``named_params`` are left untouched, including
-    their moment buffers. The update is elementwise, so one flat buffer per
-    parameter group takes one vectorized update with the same bits as
-    updating each of its matrices apart.
+    their moment buffers. The update is elementwise, so a slice of the
+    model's one parameter buffer that spans several groups takes one
+    vectorized update with the same bits as updating each matrix apart.
     """
     state.step_count += 1
     t = state.step_count

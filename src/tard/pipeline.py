@@ -215,7 +215,7 @@ def train_phase(
     # With alpha1 = 0 the SSL head receives no gradient; leaving it out of the
     # optimizer makes the pure-supervised degeneracy exact by construction.
     opt_groups = ALL_GROUPS if config.alpha1 != 0.0 else (GROUP_SHARED, GROUP_MAIN)
-    named = [(g, params.groups[g]) for g in opt_groups]
+    span = params.span(opt_groups)
     opt = AdamState(lr=config.train_lr)
 
     log: list[dict] = []
@@ -226,7 +226,7 @@ def train_phase(
         sum_lm = 0.0
         sum_ls = 0.0
         for idx in order:
-            params.zero_grads(opt_groups)
+            span.grad.fill(0.0)
             perm = None
             if config.alpha1 != 0.0:
                 perm = aug_rng.permutation(graphs[idx].num_nodes)
@@ -236,7 +236,7 @@ def train_phase(
             sum_lm += losses.l_m
             if perm is not None:
                 sum_ls += losses.l_s
-            adam_step(named, opt)
+            adam_step([("theta", span)], opt)
         mean_lm = sum_lm / len(graphs)
         mean_ls = sum_ls / len(graphs)
         total = mean_lm + config.alpha1 * mean_ls
@@ -291,15 +291,16 @@ def ttt_adapt(
     pre = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
 
     adapted = (GROUP_SHARED, GROUP_SSL)
-    named = [(g, work.groups[g]) for g in adapted]
+    span = work.span(adapted)
     opt = AdamState(lr=cfg.ttt_lr)
     for _ in range(cfg.ttt_steps):
         perm = rng.permutation(graph.num_nodes)
-        work.zero_grads(adapted)
+        span.grad.fill(0.0)
         objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
-        adam_step(named, opt)
-        for g, p in named:
-            assert_all_finite(f"theta_{g}", p.value)
+        adam_step([("theta", span)], opt)
+        if not np.isfinite(span.value).all():
+            for g in adapted:  # name the first group that went non-finite
+                assert_all_finite(f"theta_{g}", work.groups[g].value)
 
     post = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
     return work, (pre, post)

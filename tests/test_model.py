@@ -12,6 +12,7 @@ from conftest import finite_difference_check, make_random_event, make_random_gra
 from tard import graphs
 from tard.graphs import PropGraph
 from tard.model import (
+    ALL_GROUPS,
     GROUP_MAIN,
     GROUP_SHARED,
     GROUP_SSL,
@@ -95,7 +96,7 @@ class TestDimsAndInit:
 
 
 class TestLayout:
-    """Each group is one value and one grad buffer; matrices are views."""
+    """One flat value and one flat grad buffer; groups and matrices are views."""
 
     DIMS = ModelDims(
         d_in=3, d_hidden=5, num_classes=3, shared_layers=2, main_layers=2, ssl_layers=2
@@ -124,6 +125,37 @@ class TestLayout:
             npt.assert_array_equal(buf.value, 1.0)
             npt.assert_array_equal(buf.grad, 1.0)
 
+    def test_groups_are_views_of_one_buffer_in_order_m_e_s(self):
+        params = init_params(self.DIMS, seed=2)
+        params.flat.value[:] = np.arange(params.flat.value.size)
+        start = 0
+        for g in (GROUP_MAIN, GROUP_SHARED, GROUP_SSL):
+            buf = params.groups[g]
+            assert np.shares_memory(buf.value, params.flat.value)
+            assert np.shares_memory(buf.grad, params.flat.grad)
+            npt.assert_array_equal(buf.value, np.arange(start, start + buf.value.size))
+            start += buf.value.size
+        assert start == params.flat.value.size
+
+    @pytest.mark.parametrize(
+        "groups", [ALL_GROUPS, (GROUP_SHARED, GROUP_MAIN), (GROUP_SHARED, GROUP_SSL)]
+    )
+    def test_each_optimizer_set_is_one_slice(self, groups):
+        params = init_params(self.DIMS, seed=2)
+        params.flat.value[:] = np.arange(params.flat.value.size)
+        span = params.span(groups)
+        assert np.shares_memory(span.value, params.flat.value)
+        assert np.shares_memory(span.grad, params.flat.grad)
+        # The flat buffer counts up, so a sorted match means exactly these
+        # groups' entries, side by side.
+        entries = np.concatenate([params.groups[g].value for g in groups])
+        npt.assert_array_equal(span.value, np.sort(entries))
+
+    def test_span_rejects_groups_that_are_not_side_by_side(self):
+        params = init_params(self.DIMS, seed=2)
+        with pytest.raises(ValueError, match="contiguous"):
+            params.span((GROUP_MAIN, GROUP_SSL))
+
     def test_zero_grads_touches_only_the_given_groups(self):
         params = init_params(self.DIMS, seed=2)
         for buf in params.groups.values():
@@ -136,6 +168,9 @@ class TestLayout:
     def test_snapshot_shares_no_memory(self):
         params = init_params(self.DIMS, seed=2)
         snap = snapshot(params)
+        for arr in (params.flat.value, params.flat.grad):
+            assert not np.shares_memory(snap.flat.value, arr)
+            assert not np.shares_memory(snap.flat.grad, arr)
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             for arr in (params.groups[g].value, params.groups[g].grad):
                 assert not np.shares_memory(snap.groups[g].value, arr)
@@ -154,6 +189,22 @@ class TestLayout:
             adam_step(b.named_parameters(), state_b)
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(a, g) == group_bytes(b, g)
+
+    @pytest.mark.parametrize(
+        "groups", [ALL_GROUPS, (GROUP_SHARED, GROUP_MAIN), (GROUP_SHARED, GROUP_SSL)]
+    )
+    def test_span_adam_step_matches_per_group_bits(self, rng, groups):
+        a = init_params(self.DIMS, seed=2)
+        b = snapshot(a)
+        span = a.span(groups)
+        state_a, state_b = AdamState(lr=0.1), AdamState(lr=0.1)
+        for _ in range(5):
+            grad = rng.standard_normal(a.flat.grad.size)
+            a.flat.grad[:] = grad
+            b.flat.grad[:] = grad
+            adam_step([("span", span)], state_a)
+            adam_step([(g, b.groups[g]) for g in groups], state_b)
+        assert a.flat.value.tobytes() == b.flat.value.tobytes()
 
 
 class TestForwardShared:

@@ -276,6 +276,45 @@ class TestFiniteDifferenceCheck:
         assert report.ok
 
 
+def _masked_sigmoid(x):
+    """The reference sigmoid: one masked pass per sign of x."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestBitIdentity:
+    """The step's kernels against the straightforward formulas they replace,
+    compared byte for byte."""
+
+    def test_sigmoid_matches_masked_form(self, rng):
+        special = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([special, rng.standard_normal(500) * 40, rng.standard_normal(50)])
+        with np.errstate(under="ignore"):
+            assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 16), (2, 3), (47, 16), (500, 32)])
+    def test_mean_readout_matches_np_mean(self, rng, shape):
+        h = rng.standard_normal(shape) * 1e3
+        assert mean_readout(h).tobytes() == np.mean(h, axis=0).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 500.0])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_cross_entropy_matches_softmax_form(self, rng, rows, scale):
+        logits = rng.standard_normal((rows, 3)) * scale
+        labels = rng.integers(0, 3, size=rows)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expected = softmax(logits)
+        expected[np.arange(rows), labels] -= 1.0
+        assert loss == float(-log_probs[np.arange(rows), labels].sum() / rows)
+        assert grad.tobytes() == (expected / rows).tobytes()
+
+
 class TestUtilities:
     def test_sigmoid_extremes_finite(self):
         big, small, zero = sigmoid(np.array([1000.0, -1000.0, 0.0]))

@@ -212,6 +212,22 @@ class TestTttAdapt:
         for g, b in before.items():
             assert group_bytes(model.params, g) == b
 
+    def test_non_finite_ssl_head_is_named(self, separable_model, monkeypatch):
+        """One finite check covers the adapted span; when only the SSL head
+        went non-finite, the error names theta_s."""
+        model, train_set = separable_model
+        real = pipeline.objective
+
+        def poisoned(graph, params, **kw):
+            losses = real(graph, params, **kw)
+            if kw.get("grad", True):
+                params.theta_s[-1].grad[0, 0] = np.nan
+            return losses
+
+        monkeypatch.setattr(pipeline, "objective", poisoned)
+        with pytest.raises(FloatingPointError, match=r"^non-finite values in theta_s$"):
+            ttt_adapt(to_prop_graph(train_set[0]), model, np.random.default_rng(0))
+
     def test_ssl_loss_decreases_on_most_graphs(self, separable_model):
         """Pure SSL descent (alignment off): ten optimizer steps should lower
         the probe contrastive loss on at least 9 of 10 fresh graphs."""
