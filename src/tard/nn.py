@@ -54,8 +54,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, without overflow for large |x|: one
     exp(-|x|), taken as ``minimum(x, -x)`` so that a NaN keeps its sign."""
     e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class GcnCache(NamedTuple):
@@ -156,7 +155,7 @@ def contrastive_loss(
     loss = -(np.log(pos_arg).sum() + np.log(neg_arg).sum()) / (2.0 * n)
     # d/ds log(sigmoid(s)) = 1 - p ; d/dt log(1 - sigmoid(t)) = -q,
     # zeroed where the clamp is active.
-    ds = np.where(p > LOG_EPS, -(1.0 - p) / (2.0 * n), 0.0)
+    ds = np.where(p > LOG_EPS, (1.0 - p) / -(2.0 * n), 0.0)
     dt = np.where(not_q > LOG_EPS, q / (2.0 * n), 0.0)
     grad_h0 = ds[:, None] * g0
     grad_h1 = dt[:, None] * g0
