@@ -296,6 +296,24 @@ class TestBitIdentity:
         with np.errstate(under="ignore"):
             assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
 
+    def test_contrastive_loss_matches_former_formula(self, rng):
+        # Scores up to about +-100 saturate the sigmoid, so p = 1 and both
+        # clamps occur.
+        n = 40
+        h0, h1 = rng.standard_normal((n, 3)) * 30, rng.standard_normal((n, 3)) * 30
+        g0 = rng.standard_normal(3)
+        loss, grad_h0, grad_h1, grad_g0 = contrastive_loss(h0, h1, g0)
+        pq = _masked_sigmoid(np.concatenate([h0 @ g0, h1 @ g0]))
+        p, q = pq[:n], pq[n:]
+        pos = np.log(np.maximum(p, LOG_EPS)).sum()
+        neg = np.log(np.maximum(1.0 - q, LOG_EPS)).sum()
+        ds = np.where(p > LOG_EPS, -(1.0 - p) / (2.0 * n), 0.0)
+        dt = np.where(1.0 - q > LOG_EPS, q / (2.0 * n), 0.0)
+        assert loss == float(-(pos + neg) / (2.0 * n))
+        assert grad_h0.tobytes() == (ds[:, None] * g0[None, :]).tobytes()
+        assert grad_h1.tobytes() == (dt[:, None] * g0[None, :]).tobytes()
+        assert grad_g0.tobytes() == (ds @ h0 + dt @ h1).tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 16), (2, 3), (47, 16), (500, 32)])
     def test_mean_readout_matches_np_mean(self, rng, shape):
         h = rng.standard_normal(shape) * 1e3
