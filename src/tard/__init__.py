@@ -6,6 +6,9 @@ fine-tunes its extractor on every test graph before predicting, steered by a
 contrastive objective plus an embedding-statistics alignment penalty.
 """
 
+import ctypes
+import os
+
 from .graphs import InvalidEventError, PropGraph, PropagationEvent, to_prop_graph
 from .datagen import DomainSpec, ShiftSpec, apply_shift, generate_domain, read_dataset, write_dataset
 from .model import EmbeddingStats, ModelDims, TardParams, init_params
@@ -32,6 +35,30 @@ from .reporting import (
 )
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_arrays_in_heap() -> bool:
+    """Make glibc's malloc keep freed arrays in the heap for reuse.
+
+    By default glibc gives a block from 128 KiB up (a threshold that follows
+    the sizes freed) its own ``mmap`` and returns the heap top to the OS once
+    128 KiB of it are free. A large cascade's N x 16 and N x 32 temporaries
+    then go back to the OS every adaptation step and fault in again as fresh
+    zero pages. This raises the mmap threshold to glibc's 32 MiB maximum and
+    turns trimming off, so freed memory stays with the process until it
+    exits. Forked workers inherit the setting. Returns whether both settings
+    took; where the C library is not glibc it changes nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, name or value
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, -1) == 1  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+_keep_freed_arrays_in_heap()
 
 __all__ = [
     "ALPHA_GRID",
