@@ -55,6 +55,7 @@ def _keep_freed_arrays_in_heap() -> bool:
     except (AttributeError, ValueError, OSError):  # no confstr, name or value
         return False
     mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     return mallopt(-3, 32 << 20) == 1 and mallopt(-1, -1) == 1  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 

@@ -105,7 +105,7 @@ class EdgeList:
     per position and sums the slices in reduceat's order; the few longer
     rows, such as a cascade's root, share one ``reduceat`` call. Evaluating
     one 2000-node cascade makes 96 products; on a 2-vCPU VM they take
-    75-91 ms this way, against 172-223 ms as one ``reduceat`` call each.
+    72-78 ms this way, against 197-229 ms as one ``reduceat`` call each.
     """
 
     indptr: np.ndarray
@@ -201,8 +201,8 @@ class PropGraph:
     evaluating one event (30 adaptation steps, d_hidden 16) takes about
     35 ms at 300 nodes on the dense path and 30-34 ms as an edge list. At
     2000 nodes it takes about 0.8 s dense, where the adjacency alone holds
-    32 MB, and 0.14 s as an edge list, which holds 0.2-0.3 MB with its row
-    buckets. ``ax`` is ``propagate(features)``, computed once, since the
+    32 MB, and 0.12-0.18 s as an edge list, which holds 0.2-0.3 MB with its
+    row buckets. ``ax`` is ``propagate(features)``, computed once, since the
     extractor's first layer reads it on every pass over the original view;
     treat the arrays as read-only afterwards.
     """

@@ -2,7 +2,9 @@
 
 import json
 import multiprocessing
+import platform
 import re
+import resource
 import threading
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_random_event, separable
+import tard
 from tard.datagen import ShiftSpec, apply_shift, generate_domain
 from tard import graphs, pipeline
 from tard.graphs import to_prop_graph
@@ -459,6 +462,23 @@ class TestEdgeListThreshold:
         npt.assert_allclose(
             [r.probs for r in edge_list], [r.probs for r in dense], rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+def test_large_cascade_steps_reuse_freed_heap_pages(separable_model):
+    """A large cascade's N x 16 temporaries stay in the heap when freed, so
+    a repeated evaluation runs in pages the first one faulted in. Without
+    the allocator setting, glibc unmaps them and every adaptation step
+    faults them in again: about 3300 minor faults for this call."""
+    model = with_config(separable_model[0], ttt_steps=3)
+    event = make_random_event(np.random.default_rng(5), 1500, 4)
+    evaluate([event], model)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate([event], model)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500, faults
+    assert tard._keep_freed_arrays_in_heap()
+
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, separable_model, tmp_path):
