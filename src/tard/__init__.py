@@ -56,7 +56,8 @@ def _keep_freed_arrays_in_heap() -> bool:
         return False
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, -1) == 1  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1; mallopt returns 1 on success.
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, -1) == 1
 
 
 _keep_freed_arrays_in_heap()
