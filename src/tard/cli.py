@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import types
 import typing
 from dataclasses import asdict, replace
 from functools import partial
@@ -24,6 +23,7 @@ from .graphs import InvalidEventError
 from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
+    _fits,
     architecture_mismatch,
     evaluate,
     load_checkpoint,
@@ -86,19 +86,6 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _fits(value, hint) -> bool:
-    """Whether a parsed JSON value has the annotated type; JSON arrays fill
-    tuples, ints fill floats, and booleans are not numbers."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def _check_keys(path: str, prefix: str, values: dict, hints: dict) -> None:
     for key, value in values.items():
         if key not in hints:
@@ -112,13 +99,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _tupled(kw: dict, *keys: str) -> dict:
-    for key in keys:
-        if kw.get(key) is not None:
-            kw[key] = tuple(kw[key])
-    return kw
-
-
 def _check_file_values(
     path: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
 ):
@@ -127,13 +107,13 @@ def _check_file_values(
     ValueError naming the file and its dotted key; the first key rejected on
     its own is named, else the section."""
     try:
-        return build(**_tupled({**defaults, **values}, "size_dist", "mean_translation"))
+        return build(**{**defaults, **values})
     except ValueError as exc:
         error = exc
     where = prefix.rstrip(".")
     for key, value in values.items():
         try:
-            build(**_tupled({**defaults, key: value}, "size_dist", "mean_translation"))
+            build(**{**defaults, key: value})
         except ValueError:
             where = prefix + key
             break

@@ -59,6 +59,7 @@ class DomainSpec:
             raise ValueError("class_mean_separation must be finite and >= 0")
         if not 0.0 < self.feature_noise_std < math.inf:
             raise ValueError("feature_noise_std must be finite and > 0")
+        object.__setattr__(self, "size_dist", tuple(self.size_dist))
         lo, hi = self.size_dist
         if lo < 1 or hi < lo:
             raise ValueError("size_dist must satisfy 1 <= min <= max")

@@ -164,17 +164,16 @@ def _run_stack(
     ah: np.ndarray,
     layers: Sequence[Parameter],
     activations: Sequence[str],
-    *,
-    views: int = 1,
 ) -> tuple[np.ndarray, list[GcnCache]]:
     """Forward through a stack whose first layer reads ``ah``, its input
     already propagated over the graph; each later layer propagates the
-    output of the one before."""
+    output of the one before. The views ``ah`` holds side by side stay side
+    by side through every layer."""
     caches = []
     for i, (p, act) in enumerate(zip(layers, activations)):
         if i > 0:
             ah = graph.propagate(h)
-        h, cache = gcn_forward(ah, p.value, act, views=views)  # type: ignore[arg-type]
+        h, cache = gcn_forward(ah, p.value, act)  # type: ignore[arg-type]
         caches.append(cache)
     return h, caches
 
@@ -249,7 +248,7 @@ def forward_ssl(
         graph, graph.propagate(x1), params.theta_e, ["relu"] * len(params.theta_e)
     )
     ah = graph.propagate(np.concatenate([shared_h, h_sh1], axis=1))
-    both, head = _run_stack(graph, ah, params.theta_s, acts, views=2)
+    both, head = _run_stack(graph, ah, params.theta_s, acts)
     d = shared_h.shape[1]
     h0, h1 = both[:, :d], both[:, d:]
     return h0, h1, mean_readout(h0), (head, shared1)

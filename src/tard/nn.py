@@ -2,7 +2,9 @@
 gradients, mean readout, contrastive loss, softmax cross-entropy, and Adam.
 
 Everything runs in float64. Each ``*_backward`` is the exact gradient of the
-matching forward map, which the tests verify by central differences.
+matching forward map, which the tests verify by central differences. The GCN
+dense half puts its views on a leading axis, one product for all of them,
+and reads their count from the shapes.
 """
 
 from __future__ import annotations
@@ -67,22 +69,21 @@ class GcnCache(NamedTuple):
 
 
 def gcn_forward(
-    ah: np.ndarray, w: np.ndarray, activation: Activation = "relu", *, views: int = 1
+    ah: np.ndarray, w: np.ndarray, activation: Activation = "relu"
 ) -> tuple[np.ndarray, GcnCache]:
-    """The dense half of one graph convolution: act(ah @ w), for ``views``
-    inputs at once.
+    """The dense half of one graph convolution: act(ah @ w), for every view
+    at once.
 
     ``ah`` is the layer input already propagated over the graph
     (``PropGraph.propagate``). It holds the views side by side,
-    ``w.shape[0]`` columns each, and so does the output.
+    ``w.shape[0]`` columns each, and so does the output; the view count is
+    its width over ``w.shape[0]``. The views go on a leading axis of one
+    product, which gives each view the bits of its own 2-D ``@``.
     """
-    d = w.shape[0]
-    if ah.shape[1] != views * d:
-        raise ValueError(f"input {ah.shape} does not match w {w.shape} for {views} view(s)")
-    if views == 1:
-        z = ah @ w
-    else:
-        z = np.concatenate([ah[:, v * d : (v + 1) * d] @ w for v in range(views)], axis=1)
+    n, d = ah.shape[0], w.shape[0]
+    if ah.shape[1] % d:
+        raise ValueError(f"input {ah.shape} is not a whole number of views of w {w.shape}")
+    z = (ah.reshape(n, -1, d).swapaxes(0, 1) @ w).swapaxes(0, 1).reshape(n, -1)
     if activation == "relu":
         out = np.maximum(z, 0.0)
     elif activation == "identity":
@@ -94,28 +95,25 @@ def gcn_forward(
 
 def gcn_backward(
     cache: GcnCache, upstream: np.ndarray, *, input_grad: bool = True
-) -> tuple[np.ndarray | None, list[np.ndarray]]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of gcn_forward w.r.t. ``ah`` and w.
 
-    Returns (grad_ah, grad_ws): one grad_w per view, in view order, for the
-    caller to accumulate one by one; grad_ah holds the views side by side,
-    and is None when ``input_grad`` is false. The caller carries grad_ah
-    back through the graph (``PropGraph.propagate_back``).
+    Returns (grad_ah, grad_ws). grad_ws stacks one grad_w per view, in view
+    order, for the caller to accumulate one by one; grad_ah holds the views
+    side by side, and is None when ``input_grad`` is false. Each is one
+    product with the views on a leading axis, their count read from the
+    shapes. The caller carries grad_ah back through the graph
+    (``PropGraph.propagate_back``).
     """
     if upstream.shape != cache.z.shape:
         raise ValueError(f"upstream {upstream.shape} does not match output {cache.z.shape}")
     dz = upstream * (cache.z > 0.0) if cache.activation == "relu" else upstream
-    d_in, d_out = cache.w.shape
-    grad_ws: list[np.ndarray] = []
-    grad_ah: list[np.ndarray] = []
-    for v in range(dz.shape[1] // d_out):
-        g = dz[:, v * d_out : (v + 1) * d_out]
-        grad_ws.append(cache.ah[:, v * d_in : (v + 1) * d_in].T @ g)
-        if input_grad:
-            grad_ah.append(g @ cache.w.T)
+    n, (d_in, d_out) = dz.shape[0], cache.w.shape
+    dz = dz.reshape(n, -1, d_out).swapaxes(0, 1)
+    grad_ws = cache.ah.reshape(n, -1, d_in).transpose(1, 2, 0) @ dz
     if not input_grad:
         return None, grad_ws
-    return grad_ah[0] if len(grad_ah) == 1 else np.concatenate(grad_ah, axis=1), grad_ws
+    return (dz @ cache.w.T).swapaxes(0, 1).reshape(n, -1), grad_ws
 
 
 def mean_readout(h: np.ndarray) -> np.ndarray:

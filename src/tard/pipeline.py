@@ -26,6 +26,8 @@ import multiprocessing
 import os
 import threading
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -261,12 +263,7 @@ def with_config(model: TrainedModel, **overrides) -> TrainedModel:
     Ablation variants come from here, so their checkpoints are identical by
     construction.
     """
-    return TrainedModel(
-        params=model.params,
-        train_stats=model.train_stats,
-        config=replace(model.config, **overrides),
-        training_log=model.training_log,
-    )
+    return replace(model, config=replace(model.config, **overrides))
 
 
 def ttt_adapt(
@@ -471,6 +468,19 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the annotated type; JSON arrays fill
+    tuples, ints fill floats, and booleans are not numbers."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
     """``(name, value, dims value)`` of the first architecture field that
     ``values`` gives and ``dims`` contradicts; None when they agree."""
@@ -490,7 +500,13 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     fmt = rec.get("format") if isinstance(rec, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {fmt!r} in {path}")
+    hints = typing.get_type_hints(TrainConfig)
     try:
+        typed = [(f"config.{k}", v, hints[k]) for k, v in rec["config"].items() if k in hints]
+        typed.append(("train_stats.count", rec["train_stats"]["count"], int))
+        for key, value, hint in typed:
+            if not _fits(value, hint):
+                raise ValueError(f"checkpoint {path}: {key!r} has the wrong type: {value!r}")
         model = TrainedModel(
             params=params_from_record(rec["params"]),
             train_stats=stats_from_record(rec["train_stats"]),
@@ -499,7 +515,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         )
     except KeyError as exc:
         raise ValueError(f"checkpoint {path} is missing key {exc.args[0]!r}") from exc
-    except TypeError as exc:  # unknown or missing fields of config or dims
+    except (TypeError, AttributeError) as exc:  # a section not an object, a bad field
         raise ValueError(f"invalid checkpoint {path}: {exc}") from exc
     bad = architecture_mismatch(rec["config"], model.params.dims)
     if bad is not None:

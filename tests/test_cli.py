@@ -391,6 +391,10 @@ class TestEval:
                 lambda rec: rec["config"].update(d_hidden=64),
                 "'config.d_hidden' is 64, but 'params.dims' gives 4",
             ),
+            (
+                lambda rec: rec["config"].update(ttt_steps=2.5),
+                "'config.ttt_steps' has the wrong type: 2.5",
+            ),
         ],
         ids=[
             "config-key",
@@ -400,6 +404,7 @@ class TestEval:
             "stats-dim",
             "unknown-matrix",
             "config-arch",
+            "config-type",
         ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(

@@ -74,6 +74,12 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             _spec(mean_translation=(1.0, 2.0))
 
+    def test_json_arrays_become_tuples(self):
+        spec = _spec(size_dist=[4, 8], mean_translation=[1, 2, 3, 4])
+        assert spec.size_dist == (4, 8)
+        assert spec.mean_translation == (1.0, 2.0, 3.0, 4.0)
+        hash(spec)
+
     def test_no_translation_stays_none_and_means_no_offset(self):
         spec = _spec()
         assert spec.mean_translation is None

@@ -97,23 +97,32 @@ class TestGcnBackward:
         report = finite_difference_check(loss_fn, [("h", h), ("w", w)])
         assert report.ok, f"max rel error {report.max_rel_error}"
 
-    def test_two_views_match_one_view_calls(self, rng):
-        ah0, ah1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        w = rng.standard_normal((3, 2))
-        up0, up1 = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
-        out, cache = gcn_forward(np.hstack([ah0, ah1]), w, views=2)
-        g_ah, gws = gcn_backward(cache, np.hstack([up0, up1]))
-        assert len(gws) == 2
-        for v, (ah, up) in enumerate(((ah0, up0), (ah1, up1))):
-            out_v, cache_v = gcn_forward(ah, w)
-            g_ah_v, (gw_v,) = gcn_backward(cache_v, up)
-            npt.assert_allclose(out[:, 2 * v : 2 * v + 2], out_v, atol=1e-13)
-            npt.assert_allclose(g_ah[:, 3 * v : 3 * v + 3], g_ah_v, atol=1e-13)
-            npt.assert_allclose(gws[v], gw_v, atol=1e-13)
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("d_in, d_out", [(3, 2), (16, 16)])
+    @pytest.mark.parametrize("n", [1, 5, 47, 300])
+    def test_views_match_separate_products(self, rng, n, d_in, d_out, views, input_grad):
+        # One product with the views on a leading axis gives each view the
+        # bits of its own 2-D products.
+        ah = rng.standard_normal((n, views * d_in))
+        w = rng.standard_normal((d_in, d_out))
+        up = rng.standard_normal((n, views * d_out))
+        out, cache = gcn_forward(ah, w)
+        g_ah, gws = gcn_backward(cache, up, input_grad=input_grad)
+        assert len(gws) == views
+        assert (g_ah is None) != input_grad
+        for v in range(views):
+            ah_v, up_v = ah[:, v * d_in : (v + 1) * d_in], up[:, v * d_out : (v + 1) * d_out]
+            z_v = ah_v @ w
+            npt.assert_array_equal(out[:, v * d_out : (v + 1) * d_out], np.maximum(z_v, 0.0))
+            dz_v = up_v * (z_v > 0.0)
+            npt.assert_array_equal(gws[v], ah_v.T @ dz_v)
+            if input_grad:
+                npt.assert_array_equal(g_ah[:, v * d_in : (v + 1) * d_in], dz_v @ w.T)
 
     def test_rejects_width_not_matching_views(self):
-        with pytest.raises(ValueError, match="2 view"):
-            gcn_forward(np.zeros((2, 3)), np.eye(2), views=2)
+        with pytest.raises(ValueError, match="whole number of views"):
+            gcn_forward(np.zeros((2, 3)), np.eye(2))
 
     def test_no_input_grad(self, rng):
         _, cache = gcn_forward(rng.standard_normal((3, 2)), np.eye(2))

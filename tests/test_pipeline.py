@@ -550,10 +550,33 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(named)):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize(
+        "section, key, bad",
+        [
+            ("config", "ttt_steps", 2.5),
+            ("config", "ttt_steps", True),
+            ("config", "epochs", 2.5),
+            ("config", "patience", 2.5),
+            ("config", "alpha2", True),
+            ("train_stats", "count", 2.7),
+        ],
+    )
+    def test_rejects_value_of_the_wrong_type(self, separable_model, tmp_path, section, key, bad):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        rec[section][key] = bad
+        ckpt = tmp_path / "typed.json"
+        ckpt.write_text(json.dumps(rec))
+        named = f"checkpoint {ckpt}: '{section}.{key}' has the wrong type: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_checkpoint(ckpt)
+
     def test_with_config_shares_params(self, separable_model):
         model, _ = separable_model
         variant = with_config(model, ttt_steps=0, alpha2=0.0)
         assert variant.params is model.params
+        assert variant.train_stats is model.train_stats
+        assert variant.training_log is model.training_log
         assert variant.config.ttt_steps == 0
         assert model.config.ttt_steps != 0
 
