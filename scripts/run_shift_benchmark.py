@@ -3,7 +3,8 @@
 
 Trains one model per seed on the source domain and evaluates the three
 adaptation variants (full, no-constraint, no-ttt) on the shifted target
-domain. Prints per-seed accuracies, the mean adaptation gain, and the
+domain; the seeds run side by side, one forked worker per usable CPU.
+Prints per-seed accuracies, the mean adaptation gain, and the
 alignment-penalty comparison. ``--config`` takes the same JSON file as
 ``tard --config``; each seed overrides the file's seeds as ``tard gen
 --seed`` does, which makes this the tool for re-calibrating the shift-mid
@@ -24,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tard.cli import resolve_config
 from tard.datagen import generate_domain
+from tard.pipeline import fork_map
 from tard.reporting import (
     VARIANT_FULL,
     VARIANT_NO_CONSTRAINT,
@@ -54,36 +56,33 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = []
-    t_start = time.perf_counter()
-    for cfg in configs:
-        seed = cfg.train.seed
+
+    def one_seed(cfg) -> dict:
         t0 = time.perf_counter()
         train_events = generate_domain(cfg.domain)
         test_events = generate_domain(cfg.target_spec())
         result = run_ablation(train_events, test_events, cfg.train)
-        accs = {v: result.metrics[v].accuracy for v in result.metrics}
-        lc_full = float(np.mean([r.lc_post for r in result.records[VARIANT_FULL]]))
-        lc_nc = float(np.mean([r.lc_post for r in result.records[VARIANT_NO_CONSTRAINT]]))
-        rows.append(
-            {
-                "seed": seed,
-                "acc_tard": accs[VARIANT_FULL],
-                "acc_no_constraint": accs[VARIANT_NO_CONSTRAINT],
-                "acc_no_ttt": accs[VARIANT_NO_TTT],
-                "lc_post_tard": lc_full,
-                "lc_post_no_constraint": lc_nc,
-                "epochs_run": len(result.model.training_log),
-                "wall_s": time.perf_counter() - t0,
-            }
-        )
-        r = rows[-1]
+        acc = {v: m.accuracy for v, m in result.metrics.items()}
+        lc = {v: float(np.mean([r.lc_post for r in recs])) for v, recs in result.records.items()}
+        return {
+            "seed": cfg.train.seed,
+            "acc_tard": acc[VARIANT_FULL],
+            "acc_no_constraint": acc[VARIANT_NO_CONSTRAINT],
+            "acc_no_ttt": acc[VARIANT_NO_TTT],
+            "lc_post_tard": lc[VARIANT_FULL],
+            "lc_post_no_constraint": lc[VARIANT_NO_CONSTRAINT],
+            "epochs_run": len(result.model.training_log),
+            "wall_s": time.perf_counter() - t0,
+        }
+
+    t_start = time.perf_counter()
+    rows = fork_map(one_seed, configs)
+    for r in rows:
         print(
-            f"seed {seed}: tard={r['acc_tard']:.3f} "
+            f"seed {r['seed']}: tard={r['acc_tard']:.3f} "
             f"no-constraint={r['acc_no_constraint']:.3f} no-ttt={r['acc_no_ttt']:.3f} "
-            f"lc {lc_full:.2f}/{lc_nc:.2f} "
-            f"({r['epochs_run']} epochs, {r['wall_s']:.1f}s)",
-            flush=True,
+            f"lc {r['lc_post_tard']:.2f}/{r['lc_post_no_constraint']:.2f} "
+            f"({r['epochs_run']} epochs, {r['wall_s']:.1f}s)"
         )
 
     total = time.perf_counter() - t_start

@@ -23,9 +23,11 @@ from .graphs import InvalidEventError
 from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
+    _check_file_values,
     _fits,
     architecture_mismatch,
     evaluate,
+    fork_map,
     load_checkpoint,
     save_checkpoint,
     train_phase,
@@ -99,27 +101,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _check_file_values(
-    path: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
-):
-    """Build a config file's ``values`` over ``defaults`` with ``build`` (a
-    component type) and return the result. An out-of-range value raises a
-    ValueError naming the file and its dotted key; the first key rejected on
-    its own is named, else the section."""
-    try:
-        return build(**{**defaults, **values})
-    except ValueError as exc:
-        error = exc
-    where = prefix.rstrip(".")
-    for key, value in values.items():
-        try:
-            build(**{**defaults, key: value})
-        except ValueError:
-            where = prefix + key
-            break
-    raise ValueError(f"config file {path}: {where!r} is out of range: {error}")
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """defaults <- config file <- flags, validated by the component types.
 
@@ -129,27 +110,28 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     ``replace``.
     """
     path = getattr(args, "config", None)
+    source = f"config file {path}"
     file_cfg = _load_config_file(path) if path else {}
     seed_flag = getattr(args, "seed", None)
     seed = file_cfg.get("seed", 0) if seed_flag is None else seed_flag
     if seed_flag is None and seed < 0:
-        raise ValueError(f"config file {path}: 'seed' is out of range: seed must be >= 0")
+        raise ValueError(f"{source}: 'seed' is out of range: seed must be >= 0")
     base = shift_mid(seed)
     sections = {
         section: _check_file_values(
-            path, f"{section}.", cls, asdict(getattr(base, section)), file_cfg.get(section, {})
+            source, f"{section}.", cls, asdict(getattr(base, section)), file_cfg.get(section, {})
         )
         for section, cls in CONFIG_SECTIONS.items()
     }
     counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
-    cfg = _check_file_values(path, "", partial(replace, base), {}, counts)
+    cfg = _check_file_values(source, "", partial(replace, base), {}, counts)
     if seed_flag is not None:
         sections["domain"] = replace(sections["domain"], seed=seed_flag)
     sections["train"] = replace(sections["train"], **_flag_overrides(args))
     try:
         return replace(cfg, **sections)
     except ValueError as exc:  # the file's sections contradict each other
-        raise ValueError(f"config file {path}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
@@ -229,7 +211,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     file_train = file_cfg.get("train", {})
     train = _check_file_values(
-        args.config, "train.", TrainConfig, asdict(model.config), file_train
+        f"config file {args.config}", "train.", TrainConfig, asdict(model.config), file_train
     )
     bad = architecture_mismatch(file_train, model.params.dims)
     if bad is not None:
@@ -269,12 +251,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     data_dir = Path(args.data_dir)
     train_events = read_dataset(data_dir / TRAIN_FILE)
     test_events = read_dataset(data_dir / TEST_FILE)
-    rows = []
-    for i in range(args.seeds):
+
+    def one_seed(i: int) -> list:
         seed = cfg.train.seed + i
         _progress(f"ablation seed {seed} ({i + 1}/{args.seeds}) ...")
         result = run_ablation(train_events, test_events, replace(cfg.train, seed=seed))
-        rows.extend((name, result.metrics[name]) for name in ABLATION_VARIANTS)
+        return [(name, result.metrics[name]) for name in ABLATION_VARIANTS]
+
+    rows = [row for seed_rows in fork_map(one_seed, range(args.seeds)) for row in seed_rows]
     out = _out_dir(args)
     emit_report(rows, out / "ablation.csv", "csv", fingerprint=fingerprint)
     emit_report(rows, out / "ablation.json", "json", fingerprint=fingerprint)

@@ -221,6 +221,8 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
         raise InvalidEventError(f"bad feature matrix: {exc}") from exc
     if features.ndim != 2:
         raise InvalidEventError("features must be a list of equal-length rows")
+    if not isinstance(rec["id"], str):
+        raise InvalidEventError(f"'id' is {rec['id']!r}, not a JSON string")
     # type(...) is int: a JSON integer, not a float, boolean or string.
     if type(rec["label"]) is not int:
         raise InvalidEventError(f"'label' is {rec['label']!r}, not a JSON integer")
@@ -229,7 +231,7 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
         if type(s) is not int or type(t) is not int:
             raise InvalidEventError(f"'edges' entry [{s!r}, {t!r}] is not two JSON integers")
     return PropagationEvent(
-        id=str(rec["id"]),
+        id=rec["id"],
         label=rec["label"],
         num_nodes=features.shape[0],
         edges=edges,
@@ -247,9 +249,11 @@ def write_dataset(events: Sequence[PropagationEvent], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[PropagationEvent]:
-    """Parse a JSONL dataset; errors name the offending line."""
+    """Parse a JSONL dataset; errors name the offending line. Event ids are
+    unique: each keys its event's adaptation randomness and its record."""
     path = Path(path)
     events: list[PropagationEvent] = []
+    first_line: dict[str, int] = {}
     expected_dim: int | None = None
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -270,5 +274,10 @@ def read_dataset(path: str | Path) -> list[PropagationEvent]:
                 raise InvalidEventError(
                     f"{path}: line {line_no}: feature dim {event.feature_dim} != {expected_dim}"
                 )
+            if event.id in first_line:
+                raise InvalidEventError(
+                    f"{path}: line {line_no}: id {event.id!r} repeats line {first_line[event.id]}"
+                )
+            first_line[event.id] = line_no
             events.append(event)
     return events

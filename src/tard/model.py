@@ -121,6 +121,10 @@ class TardParams:
         self.theta_e, self.theta_s = e, s
         self.theta_m_gcn, self.theta_m_out_w, self.theta_m_out_b = m[:-2], m[-2], m[-1]
 
+    def __reduce__(self):
+        # Pickle the flat buffer alone; unpickling rebuilds the views into it.
+        return TardParams, (self.dims, self.flat)
+
     def span(self, groups: Sequence[str] = ALL_GROUPS) -> Parameter:
         """The buffers of ``groups`` as one flat ``Parameter`` of views; the
         groups must lie side by side in the layout."""

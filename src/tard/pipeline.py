@@ -14,8 +14,8 @@ Determinism: a training run is a pure function of (dataset, config). The
 config seed feeds three separate streams (init / epoch order / augmentation),
 and each evaluated event gets its own generator derived from (seed, event
 id), so episodic results do not depend on event order. That also lets an
-episodic ``evaluate`` split its events across forked worker processes with
-no change to any record.
+episodic ``evaluate`` split its events across forked worker processes
+(``fork_map``) with no change to any record.
 """
 
 from __future__ import annotations
@@ -367,45 +367,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_workers(test_set: Sequence[PropagationEvent], model: TrainedModel) -> int:
-    """Worker processes for ``evaluate``; 1 means the serial loop.
+#: (fn, items) of the ``fork_map`` in progress. Set just before its pool
+#: forks, so the workers inherit both instead of unpickling them; cleared
+#: when the call ends.
+_FORK_JOB: tuple[typing.Callable, Sequence] | None = None
 
-    Only episodic adaptation is split: online mode chains events, and with no
-    adaptation step an event costs less than the fork. A daemonic process may
-    not have children, and forking a process that runs other threads can
-    deadlock the child, so both stay serial.
-    """
+
+def _fork_call(i: int):
+    fn, items = _FORK_JOB
+    return fn(items[i])
+
+
+def fork_map(fn: typing.Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` on forked workers, one per usable CPU, in
+    input order. ``fn`` and ``items`` reach the workers through the fork, so
+    only results are pickled. One CPU or item, a daemonic process (a worker
+    itself, which may not have children) and a process running other threads
+    (whose forked child can deadlock) run the plain loop."""
+    global _FORK_JOB
+    workers = min(_usable_cpus(), len(items))
     if (
-        model.config.adaptation_mode == ONLINE
-        or model.config.ttt_steps == 0
+        workers < 2
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
         or threading.active_count() > 1
     ):
-        return 1
-    return min(_usable_cpus(), len(test_set))
-
-
-#: (test_set, model, seed) of the episodic ``evaluate`` in progress. Set just
-#: before its pool forks, so the workers inherit the model instead of
-#: unpickling it; cleared when the call ends.
-_FORK_JOB: tuple[Sequence[PropagationEvent], TrainedModel, int] | None = None
-
-
-def _eval_one_index(i: int) -> EventRecord:
-    test_set, model, seed = _FORK_JOB
-    return _eval_one(test_set[i], model, seed, model.params)[0]
-
-
-def _evaluate_forked(
-    test_set: Sequence[PropagationEvent], model: TrainedModel, seed: int, workers: int
-) -> list[EventRecord]:
-    global _FORK_JOB
-    _FORK_JOB = (test_set, model, seed)
+        return [fn(x) for x in items]
+    _FORK_JOB = (fn, items)
     try:
         pool = multiprocessing.get_context("fork").Pool(workers)
         try:
-            return pool.map(_eval_one_index, range(len(test_set)), chunksize=1)
+            return pool.map(_fork_call, range(len(items)), chunksize=1)
         finally:
             pool.terminate()
             pool.join()
@@ -423,12 +415,11 @@ def evaluate(
     Episodic mode starts each event from the trained snapshot, and every
     event's randomness comes from (seed, event id), so records are a pure
     function of (model, event, seed): reordering or splitting the test set
-    cannot change any record. Episodic events therefore run in forked worker
-    processes, one per usable CPU, and the records come back in input order,
-    identical for any worker count; ``taskset -c 0`` makes the call serial.
-    Online mode carries the adapted parameters over to the next event; it is
-    order-sensitive by design, runs serially, and a single-event stream
-    matches episodic mode exactly.
+    cannot change any record. Episodic events that adapt therefore go
+    through ``fork_map``, and the records are identical for any worker
+    count. Online mode carries the adapted parameters over to the next
+    event; it is order-sensitive by design, runs serially, and a
+    single-event stream matches episodic mode exactly.
     """
     if not test_set:
         raise ValueError("empty test set")
@@ -437,9 +428,8 @@ def evaluate(
         seed = model.config.seed
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    workers = _fork_workers(test_set, model)
-    if workers > 1:
-        return _evaluate_forked(test_set, model, seed, workers)
+    if model.config.adaptation_mode == EPISODIC and model.config.ttt_steps > 0:
+        return fork_map(lambda event: _eval_one(event, model, seed, model.params)[0], test_set)
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:
@@ -481,6 +471,28 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _check_file_values(
+    source: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
+):
+    """Build a file's ``values`` over ``defaults`` with ``build`` (a component
+    type) and return the result. An out-of-range value raises a ValueError
+    naming ``source`` (``config file <path>`` or ``checkpoint <path>``) and
+    the dotted key; the first key rejected on its own is named, else the
+    section."""
+    try:
+        return build(**{**defaults, **values})
+    except ValueError as exc:
+        error = exc
+    where = prefix.rstrip(".")
+    for key, value in values.items():
+        try:
+            build(**{**defaults, key: value})
+        except ValueError:
+            where = prefix + key
+            break
+    raise ValueError(f"{source}: {where!r} is out of range: {error}")
+
+
 def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
     """``(name, value, dims value)`` of the first architecture field that
     ``values`` gives and ``dims`` contradicts; None when they agree."""
@@ -510,7 +522,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         model = TrainedModel(
             params=params_from_record(rec["params"]),
             train_stats=stats_from_record(rec["train_stats"]),
-            config=TrainConfig(**rec["config"]),
+            config=_check_file_values(
+                f"checkpoint {path}", "config.", TrainConfig, {}, rec["config"]
+            ),
             training_log=list(rec["training_log"]),
         )
     except KeyError as exc:

@@ -23,6 +23,7 @@ from .pipeline import (
     TrainConfig,
     TrainedModel,
     evaluate,
+    fork_map,
     train_phase,
     with_config,
 )
@@ -162,21 +163,23 @@ def run_sensitivity(
     """Evaluate the nine-point grid for alpha1 or alpha2.
 
     alpha1 is a training-time weight, so each grid value trains afresh.
-    alpha2 only steers adaptation; one shared checkpoint serves all values.
+    alpha2 only steers adaptation; one shared checkpoint, trained before the
+    grid values fork, serves all values.
     """
     if which not in SWEEPABLE:
         raise ValueError(f"which must be one of {SWEEPABLE}, got {which!r}")
     shared = train_phase(train_set, base_config) if which == "alpha2" else None
-    rows: list[tuple[float, MetricsReport]] = []
-    for value in ALPHA_GRID:
+
+    def row(value: float) -> tuple[float, MetricsReport]:
         if shared is None:
             model = train_phase(train_set, replace(base_config, alpha1=value))
         else:
             model = with_config(shared, alpha2=value)
         recs = evaluate(test_set, model)
         fingerprint = config_fingerprint(model.config)
-        rows.append((value, compute_metrics(recs, fingerprint=fingerprint, seed=base_config.seed)))
-    return rows
+        return value, compute_metrics(recs, fingerprint=fingerprint, seed=base_config.seed)
+
+    return fork_map(row, ALPHA_GRID)
 
 
 # --- report files -----------------------------------------------------------

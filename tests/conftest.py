@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from tard.datagen import DomainSpec, ShiftSpec, generate_domain
 from tard.graphs import PropagationEvent, to_prop_graph
 from tard.model import ModelDims, init_params
 from tard.nn import Parameter
-from tard.pipeline import TrainConfig
+from tard.pipeline import TrainConfig, fork_map
 from tard.presets import ExperimentConfig, shift_mid
 from tard.reporting import run_ablation
 
@@ -91,16 +92,33 @@ def shift_benchmark():
     """Ten-seed ablation on the calibrated shifted benchmark.
 
     Shared by the acceptance gate and the reporting tests so the (slow)
-    ten training runs happen at most once per session.
+    ten training runs happen at most once per session; the seeds run side
+    by side through ``fork_map``.
     """
-    start = time.perf_counter()
-    results = []
-    for seed in range(10):
+
+    def one_seed(seed: int):
         exp = shift_mid(seed)
         train_set = generate_domain(exp.domain)
         test_set = generate_domain(exp.target_spec())
-        results.append(run_ablation(train_set, test_set, exp.train))
+        return run_ablation(train_set, test_set, exp.train)
+
+    start = time.perf_counter()
+    results = fork_map(one_seed, range(10))
     return results, time.perf_counter() - start
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Start methods of the process pools that ``fork_map`` asks for."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
 
 
 @pytest.fixture

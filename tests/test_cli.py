@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import parse_report_csv
+from tard import pipeline
 from tard.cli import main
 from tard.graphs import to_prop_graph
 from tard.pipeline import load_checkpoint, predict
@@ -395,6 +396,10 @@ class TestEval:
                 lambda rec: rec["config"].update(ttt_steps=2.5),
                 "'config.ttt_steps' has the wrong type: 2.5",
             ),
+            (
+                lambda rec: rec["config"].update(ttt_steps=-1),
+                "'config.ttt_steps' is out of range: ttt_steps must be >= 0",
+            ),
         ],
         ids=[
             "config-key",
@@ -405,6 +410,7 @@ class TestEval:
             "unknown-matrix",
             "config-arch",
             "config-type",
+            "config-range",
         ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(
@@ -452,6 +458,20 @@ class TestAblateAndSweep:
         assert (out_a / "ablation.csv").read_bytes() == (out_b / "ablation.csv").read_bytes()
         assert (out_a / "ablation.json").exists()
         assert (out_a / "ablation.svg").exists()
+
+    def test_ablation_is_the_same_pooled_and_serial(
+        self, workdir, tmp_path, capsys, monkeypatch, pools
+    ):
+        files = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"ab{cpus}"
+            args = ["ablate", *_inputs(workdir, "ablate"), "--config", str(workdir["config"])]
+            assert main([*args, "--seeds", "3", "--out", str(out)]) == 0
+            files[cpus] = _file_bytes(out)
+        capsys.readouterr()
+        assert pools == ["fork"]
+        assert files[1] == files[2]
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_ablate_seeds_below_one_exits_2_at_parsing(self, workdir, tmp_path, capsys, seeds):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -382,6 +383,25 @@ class TestDatasetFiles:
         path = tmp_path / "d.jsonl"
         path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
         with pytest.raises(InvalidEventError, match=f"line 2: {named}"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [
+            (5, "line 2: 'id' is 5, not a JSON string"),
+            (None, "line 2: 'id' is None, not a JSON string"),
+            ("first", "line 2: id 'first' repeats line 1"),
+        ],
+        ids=["id-int", "id-null", "id-repeated"],
+    )
+    def test_id_not_a_unique_string_names_line(self, tmp_path, value, named):
+        events = generate_domain(_spec(num_events=3))
+        recs = [event_to_json_dict(e) for e in events]
+        recs[0]["id"] = "first"
+        recs[1]["id"] = value
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+        with pytest.raises(InvalidEventError, match=f"^{re.escape(str(path))}: {named}$"):
             read_dataset(path)
 
     def test_event_without_edges_is_valid(self):

@@ -2,6 +2,8 @@
 embedding statistics, alignment penalty, parameter snapshots and
 serialization."""
 
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,6 +138,18 @@ class TestLayout:
             npt.assert_array_equal(buf.value, np.arange(start, start + buf.value.size))
             start += buf.value.size
         assert start == params.flat.value.size
+
+    def test_unpickled_params_are_views_of_their_own_buffer(self):
+        """Forked workers send trained models back pickled; the copy must
+        keep its matrices inside its flat buffer, or a step would update
+        one and not the other."""
+        params = init_params(self.DIMS, seed=2)
+        back = pickle.loads(pickle.dumps(params))
+        assert back.flat.value.tobytes() == params.flat.value.tobytes()
+        for (name, p), (_, q) in zip(params.named_parameters(), back.named_parameters()):
+            assert np.shares_memory(q.value, back.flat.value), name
+            assert np.shares_memory(q.grad, back.flat.grad), name
+            npt.assert_array_equal(q.value, p.value)
 
     @pytest.mark.parametrize(
         "groups", [ALL_GROUPS, (GROUP_SHARED, GROUP_MAIN), (GROUP_SHARED, GROUP_SSL)]

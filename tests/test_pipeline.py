@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import platform
 import re
 import resource
@@ -70,21 +71,7 @@ def _cpus(monkeypatch, n):
 
 
 def _no_pool(method=None):
-    raise AssertionError(f"evaluate asked for a {method!r} pool")
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Start methods of the process pools that evaluate asks for."""
-    methods = []
-    get_context = multiprocessing.get_context
-
-    def spy(method=None):
-        methods.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return methods
+    raise AssertionError(f"fork_map asked for a {method!r} pool")
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +367,50 @@ class TestEpisodicEvaluation:
         assert not np.array_equal(a, c)
 
 
+class TestForkMap:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_results_come_back_in_input_order(self, monkeypatch, pools, cpus):
+        """Seven items over two workers: the lambda reaches the workers
+        through the fork, and the results keep the input order."""
+        _cpus(monkeypatch, cpus)
+        got = pipeline.fork_map(lambda x: (x * x, os.getpid()), range(7))
+        assert [v for v, _ in got] == [x * x for x in range(7)]
+        workers = {pid for _, pid in got}
+        assert (os.getpid() in workers) == (cpus == 1)
+        assert pools == (["fork"] if cpus == 2 else [])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_reaches_the_caller(self, monkeypatch, pools, cpus):
+        def fn(x):
+            if x == 3:
+                raise KeyError(f"item {x}")
+            return x
+
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(KeyError, match=r"^'item 3'$"):
+            pipeline.fork_map(fn, range(5))
+        assert pools == (["fork"] if cpus == 2 else [])
+        assert multiprocessing.active_children() == []
+        assert pipeline._FORK_JOB is None
+
+    def test_nested_evaluate_runs_serially_in_a_worker(self, separable_model, monkeypatch):
+        """Inside a (daemonic) worker, evaluate takes the plain loop and
+        gives the serial records."""
+        model, _ = separable_model
+        events = _events(n=6, dim=4, seed=14)
+        batches = [events[:3], events[3:]]
+        serial = [_strip_wall(evaluate(b, model)) for b in batches]
+        _cpus(monkeypatch, 2)
+
+        def in_worker(batch):
+            daemon = multiprocessing.current_process().daemon
+            return daemon, _strip_wall(evaluate(batch, model))
+
+        got = pipeline.fork_map(in_worker, batches)
+        assert [daemon for daemon, _ in got] == [True, True]
+        assert [records for _, records in got] == serial
+
+
 class TestOnlineEvaluation:
     def test_single_event_matches_episodic(self, separable_model):
         model, _ = separable_model
@@ -568,6 +599,25 @@ class TestCheckpoints:
         ckpt = tmp_path / "typed.json"
         ckpt.write_text(json.dumps(rec))
         named = f"checkpoint {ckpt}: '{section}.{key}' has the wrong type: {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize(
+        "key, bad, error",
+        [
+            ("ttt_steps", -1, "ttt_steps must be >= 0"),
+            ("adaptation_mode", "bogus", "adaptation_mode must be one of"),
+            ("alpha2", -0.5, "alpha2 must be finite and >= 0"),
+        ],
+        ids=["ttt_steps", "adaptation_mode", "alpha2"],
+    )
+    def test_rejects_config_value_out_of_range(self, separable_model, tmp_path, key, bad, error):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        rec["config"][key] = bad
+        ckpt = tmp_path / "range.json"
+        ckpt.write_text(json.dumps(rec))
+        named = f"checkpoint {ckpt}: 'config.{key}' is out of range: {error}"
         with pytest.raises(ValueError, match=re.escape(named)):
             load_checkpoint(ckpt)
 

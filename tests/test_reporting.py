@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_event, parse_report_csv
+from tard import pipeline
 from tard.datagen import generate_domain
 from tard.graphs import to_prop_graph
 from tard.model import GROUP_MAIN, GROUP_SHARED, GROUP_SSL, group_bytes
@@ -274,6 +275,17 @@ class TestRunSensitivity:
             recs, fingerprint=zero_rep.config_fingerprint, seed=cfg.seed
         )
         assert direct == zero_rep
+
+    @pytest.mark.parametrize("which", ["alpha1", "alpha2"])
+    def test_grid_is_the_same_pooled_and_serial(self, monkeypatch, pools, which):
+        train, test = _tiny_sets()
+        cfg = TrainConfig(epochs=1, d_hidden=4, ttt_steps=1, seed=5)
+        rows = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+            rows[cpus] = run_sensitivity(train, test, cfg, which)
+        assert pools == ["fork"]
+        assert rows[1] == rows[2]
 
     def test_rejects_unknown_hyperparameter(self):
         train, test = _tiny_sets()
