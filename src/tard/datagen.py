@@ -216,17 +216,29 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
     if missing:
         raise InvalidEventError(f"missing fields {sorted(missing)}")
     try:
-        features = np.asarray(rec["features"], dtype=np.float64)
+        features = np.asarray(rec["features"])
     except ValueError as exc:
         raise InvalidEventError(f"bad feature matrix: {exc}") from exc
     if features.ndim != 2:
         raise InvalidEventError("features must be a list of equal-length rows")
+    # A JSON boolean among numbers reads as 0 or 1 in an int or float array, so
+    # the entries' types are looked at only when one of those values appears.
+    if features.dtype.kind not in "iuf" or (
+        ((features == 0) | (features == 1)).any()
+        and any(type(v) is bool for row in rec["features"] for v in row)
+    ):
+        raise InvalidEventError("'features' must hold only JSON numbers")
     if not isinstance(rec["id"], str):
         raise InvalidEventError(f"'id' is {rec['id']!r}, not a JSON string")
     # type(...) is int: a JSON integer, not a float, boolean or string.
     if type(rec["label"]) is not int:
         raise InvalidEventError(f"'label' is {rec['label']!r}, not a JSON integer")
-    edges = [(s, t) for s, t in rec["edges"]]
+    try:
+        if type(rec["edges"]) is not list:
+            raise TypeError
+        edges = [(s, t) for s, t in rec["edges"]]
+    except (TypeError, ValueError):
+        raise InvalidEventError("'edges' is not a list of [source, target] pairs") from None
     for s, t in edges:
         if type(s) is not int or type(t) is not int:
             raise InvalidEventError(f"'edges' entry [{s!r}, {t!r}] is not two JSON integers")

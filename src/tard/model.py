@@ -24,7 +24,6 @@ callers zero a span per step and hand it to the optimizer whole.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
@@ -144,9 +143,6 @@ class TardParams:
                 raise ValueError(f"unknown parameter group {g!r}")
             named += self._named[g]
         return named
-
-    def zero_grads(self, groups: Sequence[str] = ALL_GROUPS) -> None:
-        self.span(groups).grad.fill(0.0)
 
 
 def init_params(dims: ModelDims, seed: int | np.random.SeedSequence) -> TardParams:
@@ -423,14 +419,20 @@ def _matrix_record(p: Parameter) -> dict:
     return {"shape": list(p.value.shape), "data": p.value.reshape(-1).tolist()}
 
 
-def _checked_array(name: str, data: object, shape: tuple[int, ...]) -> np.ndarray:
-    """A checkpoint entry as a float64 array of ``shape``; a wrong size or a
-    non-finite value raises ValueError naming the entry."""
-    value = np.array(data, dtype=np.float64)
+def _checked_array(name: str, data: list, shape: tuple[int, ...]) -> np.ndarray:
+    """A checkpoint entry, a list (of lists) of JSON numbers, as a float64
+    array of ``shape``; ragged rows, a wrong size or a non-finite value
+    raise a ValueError naming the entry."""
+    try:
+        value = np.array(data, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name!r} has non-finite values") from None
+    except ValueError:  # ragged rows
+        raise ValueError(f"{name!r} does not fit shape {shape}") from None
     if value.size != int(np.prod(shape)):
-        raise ValueError(f"checkpoint entry {name!r} does not fit shape {shape}")
+        raise ValueError(f"{name!r} does not fit shape {shape}")
     if not np.all(np.isfinite(value)):
-        raise ValueError(f"checkpoint entry {name!r} has non-finite values")
+        raise ValueError(f"{name!r} has non-finite values")
     return value.reshape(shape)
 
 
@@ -443,37 +445,31 @@ def params_to_record(params: TardParams) -> dict:
 
 
 def params_from_record(rec: dict) -> TardParams:
+    """Parameters from a checkpoint's ``params`` record; a missing, unknown
+    or misshapen matrix raises a ValueError naming its dotted key."""
     dims = ModelDims(**rec["dims"])
     mats = rec["matrices"]
 
     def take(name: str, shape: tuple[int, int]) -> np.ndarray:
+        key = f"params.matrices.{name}"
         if name not in mats:
-            raise ValueError(f"checkpoint is missing matrix {name!r}")
+            raise ValueError(f"{key!r} is missing")
         if tuple(mats[name]["shape"]) != shape:
-            raise ValueError(
-                f"checkpoint matrix {name!r} has shape {tuple(mats[name]['shape'])}, "
-                f"dims give {shape}"
-            )
-        return _checked_array(name, mats[name]["data"], shape).ravel()
+            raise ValueError(f"'{key}.shape' is {mats[name]['shape']}, dims give {list(shape)}")
+        return _checked_array(f"{key}.data", mats[name]["data"], shape).ravel()
 
     entries = [entry for group in layout(dims).values() for entry in group]
     flat = np.concatenate([take(name, shape) for name, shape in entries])
     unknown = sorted(set(mats) - {name for name, _ in entries})
     if unknown:
-        raise ValueError(f"checkpoint has unknown matrix {unknown[0]!r}")
+        raise ValueError(f"'params.matrices' has unknown matrix {unknown[0]!r}")
     return TardParams(dims, Parameter(flat))
 
 
 def group_bytes(params: TardParams, group: str) -> bytes:
-    """Canonical byte serialization of one parameter group.
-
-    Used for frozen-head assertions: byte equality here means bit-identical
-    parameter values.
-    """
-    record = {
-        name: _matrix_record(p) for name, p in params.named_parameters(groups=(group,))
-    }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    """One group's values as raw bytes, for the frozen-head checks: equal bytes
+    mean bit-identical values, so ``-0.0`` differs from ``0.0``."""
+    return params.groups[group].value.tobytes()
 
 
 def stats_to_record(stats: EmbeddingStats) -> dict:
@@ -481,10 +477,12 @@ def stats_to_record(stats: EmbeddingStats) -> dict:
 
 
 def stats_from_record(rec: dict) -> EmbeddingStats:
-    """Training-side stats from a checkpoint; rejects non-finite entries."""
+    """Training-side stats from a checkpoint's ``train_stats`` record; a
+    misshapen, non-finite or asymmetric entry raises a ValueError naming it.
+    ``embedding_stats`` writes ``eta`` exactly symmetric."""
     d = len(rec["mu"])
-    return EmbeddingStats(
-        mu=_checked_array("train_stats.mu", rec["mu"], (d,)),
-        eta=_checked_array("train_stats.eta", rec["eta"], (d, d)),
-        count=int(rec["count"]),
-    )
+    mu = _checked_array("train_stats.mu", rec["mu"], (d,))
+    eta = _checked_array("train_stats.eta", rec["eta"], (d, d))
+    if not np.array_equal(eta, eta.T):
+        raise ValueError("'train_stats.eta' is not symmetric")
+    return EmbeddingStats(mu=mu, eta=eta, count=int(rec["count"]))

@@ -10,7 +10,7 @@ and reads their count from the shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -192,37 +192,29 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 @dataclass
 class AdamState:
-    """Adam moments keyed by parameter name; touches only the names it is fed."""
+    """Adam hyperparameters and the moments of the one parameter it steps."""
 
     lr: float = 5e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(named_params: Sequence[tuple[str, Parameter]], state: AdamState) -> None:
-    """One Adam update with bias correction over the given parameters.
-
-    Parameters not present in ``named_params`` are left untouched, including
-    their moment buffers. The update is elementwise, so a slice of the
-    model's one parameter buffer that spans several groups takes one
-    vectorized update with the same bits as updating each matrix apart.
-    """
+def adam_step(p: Parameter, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``p``, in place. It is elementwise, so
+    one update of a span of the parameter buffer has the bits of updating
+    each matrix in it apart."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p.value), np.zeros_like(p.value)
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in named_params:
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
-        m, v = state.m[name], state.v[name]
-        g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - state.beta1**state.step_count
+    bc2 = 1.0 - state.beta2**state.step_count
+    m, v, g = state.m, state.v, p.grad
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -28,7 +28,7 @@ import threading
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -238,7 +238,7 @@ def train_phase(
             sum_lm += losses.l_m
             if perm is not None:
                 sum_ls += losses.l_s
-            adam_step([("theta", span)], opt)
+            adam_step(span, opt)
         mean_lm = sum_lm / len(graphs)
         mean_ls = sum_ls / len(graphs)
         total = mean_lm + config.alpha1 * mean_ls
@@ -294,7 +294,7 @@ def ttt_adapt(
         perm = rng.permutation(graph.num_nodes)
         span.grad.fill(0.0)
         objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
-        adam_step([("theta", span)], opt)
+        adam_step(span, opt)
         if not np.isfinite(span.value).all():
             for g in adapted:  # name the first group that went non-finite
                 assert_all_finite(f"theta_{g}", work.groups[g].value)
@@ -503,43 +503,77 @@ def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, i
     return None
 
 
+#: Every key ``save_checkpoint`` writes, by the rule that checks its value:
+#: an object's keys are all required and no other is allowed, a dataclass
+#: stands for its fields' hints, and any other hint is read by ``_fits``.
+#: ``training_log`` must be a list, but its entries are not checked: nothing
+#: reads them from a checkpoint.
+_MATRIX_RECORD = {"shape": tuple[int, ...], "data": tuple[float, ...]}
+_CHECKPOINT_RECORD = {
+    "format": str,
+    "config": TrainConfig,
+    "params": {"dims": ModelDims, "matrices": dict},
+    "train_stats": {"mu": tuple[float, ...], "eta": tuple[tuple[float, ...], ...], "count": int},
+    "training_log": list,
+}
+
+
+def _check_record(source: str, key: str, value, schema) -> None:
+    """Raise a ValueError naming ``source`` and the dotted key of the first
+    part of ``value`` that does not fit ``schema`` (see
+    ``_CHECKPOINT_RECORD``); a list names its first wrong entry."""
+    if is_dataclass(schema):
+        schema = typing.get_type_hints(schema)
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{source}: {key!r} is not a JSON object")
+        prefix = f"{key}." if key else ""
+        unknown = [k for k in value if k not in schema]
+        if unknown:
+            raise ValueError(f"{source}: unknown key {prefix + unknown[0]!r}")
+        for k, hint in schema.items():
+            if k not in value:
+                raise ValueError(f"{source}: {prefix + k!r} is missing")
+            _check_record(source, prefix + k, value[k], hint)
+    elif not _fits(value, schema):
+        if typing.get_origin(schema) is tuple and isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_record(source, f"{key}.{i}", item, typing.get_args(schema)[0])
+        raise ValueError(f"{source}: {key!r} has the wrong type: {value!r}")
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read and validate a checkpoint; any defect raises ValueError naming it."""
+    """Read and validate a checkpoint. Every key is checked before any array
+    is built, and any defect raises a ValueError naming the file and the
+    dotted key."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
+    source = f"checkpoint {path}"
     fmt = rec.get("format") if isinstance(rec, dict) else None
     if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {fmt!r} in {path}")
-    hints = typing.get_type_hints(TrainConfig)
-    try:
-        typed = [(f"config.{k}", v, hints[k]) for k, v in rec["config"].items() if k in hints]
-        typed.append(("train_stats.count", rec["train_stats"]["count"], int))
-        for key, value, hint in typed:
-            if not _fits(value, hint):
-                raise ValueError(f"checkpoint {path}: {key!r} has the wrong type: {value!r}")
-        model = TrainedModel(
-            params=params_from_record(rec["params"]),
-            train_stats=stats_from_record(rec["train_stats"]),
-            config=_check_file_values(
-                f"checkpoint {path}", "config.", TrainConfig, {}, rec["config"]
-            ),
-            training_log=list(rec["training_log"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path} is missing key {exc.args[0]!r}") from exc
-    except (TypeError, AttributeError) as exc:  # a section not an object, a bad field
-        raise ValueError(f"invalid checkpoint {path}: {exc}") from exc
-    bad = architecture_mismatch(rec["config"], model.params.dims)
+        raise ValueError(f"{source}: 'format' is {fmt!r}, not {CHECKPOINT_FORMAT!r}")
+    _check_record(source, "", rec, _CHECKPOINT_RECORD)
+    for name, matrix in rec["params"]["matrices"].items():
+        _check_record(source, f"params.matrices.{name}", matrix, _MATRIX_RECORD)
+    config = _check_file_values(source, "config.", TrainConfig, {}, rec["config"])
+    # Each value is tried alone over the smallest dims, so the one at fault is named.
+    smallest = asdict(ModelDims(d_in=1, d_hidden=1))
+    dims = _check_file_values(source, "params.dims.", ModelDims, smallest, rec["params"]["dims"])
+    bad = architecture_mismatch(rec["config"], dims)
     if bad is not None:
         name, value, have = bad
+        raise ValueError(f"{source}: 'config.{name}' is {value}, but 'params.dims' gives {have}")
+    mu = rec["train_stats"]["mu"]
+    if len(mu) != dims.d_hidden:
         raise ValueError(
-            f"checkpoint {path}: 'config.{name}' is {value}, but 'params.dims' gives {have}"
+            f"{source}: 'train_stats.mu' has {len(mu)} entries, "
+            f"but 'params.dims' gives d_hidden {dims.d_hidden}"
         )
-    d = model.params.dims.d_hidden
-    if model.train_stats.mu.shape != (d,):
-        raise ValueError(
-            f"checkpoint train_stats has dim {model.train_stats.mu.shape[0]}, dims give {d}"
-        )
-    return model
+    try:
+        params = params_from_record(rec["params"])
+        train_stats = stats_from_record(rec["train_stats"])
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    return TrainedModel(params, train_stats, config, rec["training_log"])

@@ -69,12 +69,12 @@ def test_criterion_1_gradient_correctness():
         named = params.named_parameters()
 
         def joint_loss():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             out = objective(graph, params, label=label, perm=perm, w_s=alpha1)
             return out.l_m + alpha1 * out.l_s, {n_: p.grad.copy() for n_, p in named}
 
         def adapt_loss():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             out = objective(graph, params, perm=perm, stats=train_stats, w_c=alpha2)
             return out.l_s + alpha2 * out.l_c, {n_: p.grad.copy() for n_, p in named}
 
@@ -156,14 +156,15 @@ def test_criterion_4_degeneracy_equalities():
     ss_init, order_rng, _ = training_streams(cfg.seed)
     oracle = init_params(ModelDims(d_in=3, d_hidden=4, num_classes=2), ss_init)
     graphs = [to_prop_graph(e) for e in events]
-    named = oracle.named_parameters(("e", "m"))
-    opt = AdamState(lr=cfg.train_lr)
+    # One Adam state per matrix: an oracle independent of the span update.
+    opts = [(p, AdamState(lr=cfg.train_lr)) for _, p in oracle.named_parameters(("e", "m"))]
     train_match = True
     for _ in range(cfg.epochs):
         for idx in order_rng.permutation(len(graphs)):
-            oracle.zero_grads(("e", "m"))
+            oracle.span(("e", "m")).grad.fill(0.0)
             objective(graphs[idx], oracle, label=events[idx].label)
-            adam_step(named, opt)
+            for p, opt in opts:
+                adam_step(p, opt)
     for g in ("e", "m", "s"):
         train_match &= group_bytes(model.params, g) == group_bytes(oracle, g)
 

@@ -72,6 +72,14 @@ def _add_theta_s7(rec: dict) -> None:
     mats["theta_s.7"] = mats["theta_s.0"]
 
 
+def _set_theta_e0_entry(value):
+    return lambda rec: rec["params"]["matrices"]["theta_e.0"]["data"].__setitem__(0, value)
+
+
+def _skew_eta(rec: dict) -> None:
+    rec["train_stats"]["eta"][0][1] += 1.0
+
+
 class TestGen:
     def test_writes_four_files_with_configured_counts(self, workdir):
         data = workdir["data"]
@@ -400,6 +408,49 @@ class TestEval:
                 lambda rec: rec["config"].update(ttt_steps=-1),
                 "'config.ttt_steps' is out of range: ttt_steps must be >= 0",
             ),
+            (lambda rec: rec["config"].pop("ttt_lr"), "'config.ttt_lr' is missing"),
+            (lambda rec: rec["config"].pop("adjacency"), "'config.adjacency' is missing"),
+            (
+                lambda rec: rec["params"]["dims"].pop("ssl_layers"),
+                "'params.dims.ssl_layers' is missing",
+            ),
+            (
+                _set_theta_e0_entry(True),
+                "'params.matrices.theta_e.0.data.0' has the wrong type: True",
+            ),
+            (
+                lambda rec: rec["train_stats"]["mu"].__setitem__(0, True),
+                "'train_stats.mu.0' has the wrong type: True",
+            ),
+            (
+                lambda rec: rec["train_stats"]["eta"][1].__setitem__(0, False),
+                "'train_stats.eta.1.0' has the wrong type: False",
+            ),
+            (
+                lambda rec: rec.update(training_log={"a": 1}),
+                "'training_log' has the wrong type: {'a': 1}",
+            ),
+            (
+                _set_theta_e0_entry("x"),
+                "'params.matrices.theta_e.0.data.0' has the wrong type: 'x'",
+            ),
+            (
+                _set_theta_e0_entry([1.0]),
+                "'params.matrices.theta_e.0.data.0' has the wrong type: [1.0]",
+            ),
+            (
+                lambda rec: rec["train_stats"]["eta"][2].pop(),
+                "'train_stats.eta' does not fit shape (4, 4)",
+            ),
+            (
+                lambda rec: rec["params"]["dims"].update(d_hidden="4"),
+                "'params.dims.d_hidden' has the wrong type: '4'",
+            ),
+            (
+                lambda rec: rec["train_stats"]["mu"].pop(),
+                "'train_stats.mu' has 3 entries, but 'params.dims' gives d_hidden 4",
+            ),
+            (_skew_eta, "'train_stats.eta' is not symmetric"),
         ],
         ids=[
             "config-key",
@@ -411,6 +462,19 @@ class TestEval:
             "config-arch",
             "config-type",
             "config-range",
+            "config-missing-ttt_lr",
+            "config-missing-adjacency",
+            "dims-missing",
+            "data-bool",
+            "mu-bool",
+            "eta-bool",
+            "log-not-list",
+            "data-string",
+            "data-nested",
+            "eta-ragged",
+            "dims-type",
+            "mu-short",
+            "eta-asymmetric",
         ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(
@@ -430,7 +494,9 @@ class TestEval:
             ]
         )
         assert code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad}: " in err
+        assert named in err
 
 
 class TestAblateAndSweep:

@@ -373,8 +373,25 @@ class TestDatasetFiles:
             ("edges", [[0, 1.7]], r"'edges' entry \[0, 1.7\]"),
             ("edges", [[0, 1], [True, 2]], r"'edges' entry \[True, 2\]"),
             ("edges", [["0", "1"]], r"'edges' entry \['0', '1'\]"),
+            ("edges", 5, r"'edges' is not a list of \[source, target\] pairs"),
+            ("edges", {}, r"'edges' is not a list of \[source, target\] pairs"),
+            ("edges", [[0, 1, 2]], r"'edges' is not a list of \[source, target\] pairs"),
+            ("features", [[0.5, True]], "'features' must hold only JSON numbers"),
+            ("features", [[0.5, "0.5"]], "'features' must hold only JSON numbers"),
         ],
-        ids=["label-float", "label-bool", "label-string", "edge-float", "edge-bool", "edge-strings"],
+        ids=[
+            "label-float",
+            "label-bool",
+            "label-string",
+            "edge-float",
+            "edge-bool",
+            "edge-strings",
+            "edges-number",
+            "edges-object",
+            "edge-triple",
+            "feature-bool",
+            "feature-string",
+        ],
     )
     def test_non_integer_label_or_node_index_names_line(self, tmp_path, field, value, named):
         events = generate_domain(_spec(num_events=2))

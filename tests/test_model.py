@@ -170,11 +170,11 @@ class TestLayout:
         with pytest.raises(ValueError, match="contiguous"):
             params.span((GROUP_MAIN, GROUP_SSL))
 
-    def test_zero_grads_touches_only_the_given_groups(self):
+    def test_zeroing_a_span_touches_only_its_groups(self):
         params = init_params(self.DIMS, seed=2)
         for buf in params.groups.values():
             buf.grad.fill(1.0)
-        params.zero_grads((GROUP_SSL,))
+        params.span((GROUP_SSL,)).grad.fill(0.0)
         for name, p in params.named_parameters((GROUP_SHARED, GROUP_MAIN)):
             npt.assert_array_equal(p.grad, 1.0, err_msg=name)
         npt.assert_array_equal(params.groups[GROUP_SSL].grad, 0.0)
@@ -197,10 +197,11 @@ class TestLayout:
             grad = rng.standard_normal(a.groups[g].grad.size)
             a.groups[g].grad[:] = grad
             b.groups[g].grad[:] = grad
-        state_a, state_b = AdamState(lr=0.1), AdamState(lr=0.1)
+        per_group = [(p, AdamState(lr=0.1)) for p in a.groups.values()]
+        per_matrix = [(p, AdamState(lr=0.1)) for _, p in b.named_parameters()]
         for _ in range(3):
-            adam_step(list(a.groups.items()), state_a)
-            adam_step(b.named_parameters(), state_b)
+            for p, state in per_group + per_matrix:
+                adam_step(p, state)
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(a, g) == group_bytes(b, g)
 
@@ -211,13 +212,15 @@ class TestLayout:
         a = init_params(self.DIMS, seed=2)
         b = snapshot(a)
         span = a.span(groups)
-        state_a, state_b = AdamState(lr=0.1), AdamState(lr=0.1)
+        state = AdamState(lr=0.1)
+        per_group = [(b.groups[g], AdamState(lr=0.1)) for g in groups]
         for _ in range(5):
             grad = rng.standard_normal(a.flat.grad.size)
             a.flat.grad[:] = grad
             b.flat.grad[:] = grad
-            adam_step([("span", span)], state_a)
-            adam_step([(g, b.groups[g]) for g in groups], state_b)
+            adam_step(span, state)
+            for p, group_state in per_group:
+                adam_step(p, group_state)
         assert a.flat.value.tobytes() == b.flat.value.tobytes()
 
 
@@ -329,7 +332,7 @@ class TestSslLoss:
 
     def test_classification_head_gradients_stay_zero(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         objective(g, small_params, perm=rng.permutation(5))
         for name, p in small_params.named_parameters(groups=(GROUP_MAIN,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
@@ -347,7 +350,7 @@ class TestSslLoss:
         named = params.named_parameters(groups=(GROUP_SHARED, GROUP_SSL))
 
         def loss_fn():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             return objective(g, params, perm=perm).l_s, _grads(named)
 
         report = finite_difference_check(loss_fn, named)
@@ -356,7 +359,7 @@ class TestSslLoss:
     def test_value_helper_matches_and_leaves_grads_alone(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
         perm = np.arange(5)[::-1].copy()
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         v = objective(g, small_params, perm=perm, grad=False).l_s
         for name, p in small_params.named_parameters():
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
@@ -373,7 +376,7 @@ class TestMainLoss:
 
     def test_ssl_head_gradients_stay_zero(self, small_params, rng):
         g = make_random_graph(rng, 5, 4)
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         objective(g, small_params, label=0)
         for name, p in small_params.named_parameters(groups=(GROUP_SSL,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
@@ -388,7 +391,7 @@ class TestMainLoss:
         named = params.named_parameters(groups=(GROUP_SHARED, GROUP_MAIN))
 
         def loss_fn():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             return objective(g, params, label=1).l_m, _grads(named)
 
         report = finite_difference_check(loss_fn, named)
@@ -423,7 +426,7 @@ class TestObjective:
         named = params.named_parameters()
 
         def loss_fn():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             out = objective(g, params, label=1, perm=perm, stats=stats, **w)
             total = out.l_m + w["w_s"] * out.l_s + w["w_c"] * out.l_c
             return total, _grads(named)
@@ -435,7 +438,7 @@ class TestObjective:
     def test_no_grad_probe_matches_and_leaves_grads_zero(self, rng):
         params, g, stats, perm = self._setup(rng)
         kwargs = {"label": 0, "perm": perm, "stats": stats, "w_s": 0.5, "w_c": 0.3}
-        params.zero_grads()
+        params.span().grad.fill(0.0)
         probe = objective(g, params, grad=False, **kwargs)
         for name, p in params.named_parameters():
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
@@ -498,11 +501,11 @@ class TestAdjacencyProducts:
             "train": lambda g: objective(g, small_params, label=1, perm=perm, w_s=0.5),
         }
         _CountingAdjacency.products = 0
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         got = calls[call](counted)
         assert _CountingAdjacency.products == expected
         grads = _grads(small_params.named_parameters())
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         assert calls[call](plain) == got
         for name, grad in _grads(small_params.named_parameters()).items():
             npt.assert_array_equal(grads[name], grad, err_msg=name)
@@ -621,9 +624,9 @@ class TestAdaptLosses:
         train_stats = compute_embedding_stats([g], params_a)
         perm = np.random.default_rng(1).permutation(6)
 
-        params_a.zero_grads()
+        params_a.span().grad.fill(0.0)
         out = objective(g, params_a, perm=perm, stats=train_stats, w_c=0.0)
-        params_b.zero_grads()
+        params_b.span().grad.fill(0.0)
         ls_b = objective(g, params_b, perm=perm).l_s
 
         assert out.l_s == ls_b
@@ -645,7 +648,7 @@ class TestAdaptLosses:
         named = params.named_parameters(groups=(GROUP_SHARED, GROUP_SSL))
 
         def loss_fn():
-            params.zero_grads()
+            params.span().grad.fill(0.0)
             out = objective(g, params, perm=perm, stats=train_stats, w_c=alpha2)
             return out.l_s + alpha2 * out.l_c, _grads(named)
 
@@ -655,7 +658,7 @@ class TestAdaptLosses:
     def test_classification_head_never_touched(self, small_params, rng):
         g = make_random_graph(rng, 4, 4)
         stats = compute_embedding_stats([g], small_params)
-        small_params.zero_grads()
+        small_params.span().grad.fill(0.0)
         objective(g, small_params, perm=np.arange(4), stats=stats, w_c=0.5)
         for name, p in small_params.named_parameters(groups=(GROUP_MAIN,)):
             npt.assert_array_equal(p.grad, 0.0, err_msg=name)
@@ -688,9 +691,9 @@ class TestSnapshotsAndSerialization:
         graph = make_random_graph(rng, 5, 4)
         state = AdamState(lr=1e-2)
         for _ in range(3):
-            small_params.zero_grads()
+            small_params.span().grad.fill(0.0)
             objective(graph, small_params, label=0)
-            adam_step(small_params.named_parameters(), state)
+            adam_step(small_params.span(), state)
         assert group_bytes(small_params, GROUP_SHARED) != group_bytes(
             snap, GROUP_SHARED
         )
@@ -723,3 +726,11 @@ class TestSnapshotsAndSerialization:
         assert group_bytes(small_params, GROUP_SHARED) != group_bytes(
             small_params, GROUP_SSL
         )
+        # ... and one ulp, and the sign of zero, within a group.
+        moved, zero, negative_zero = (snapshot(small_params) for _ in range(3))
+        entry = moved.groups[GROUP_SHARED].value
+        entry[0] = np.nextafter(entry[0], np.inf)
+        zero.groups[GROUP_SHARED].value[0] = 0.0
+        negative_zero.groups[GROUP_SHARED].value[0] = -0.0
+        assert group_bytes(moved, GROUP_SHARED) != group_bytes(small_params, GROUP_SHARED)
+        assert group_bytes(zero, GROUP_SHARED) != group_bytes(negative_zero, GROUP_SHARED)

@@ -239,7 +239,7 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = Parameter(np.array([[1.0, 2.0]]))
         before = p.value.copy()
-        adam_step([("p", p)], AdamState(lr=0.1))
+        adam_step(p, AdamState(lr=0.1))
         npt.assert_array_equal(p.value, before)
 
     def test_constant_gradient_two_steps(self):
@@ -248,19 +248,10 @@ class TestAdam:
         g = np.array([[3.0, -0.5]])
         p = Parameter(np.zeros((1, 2)), grad=g.copy())
         state = AdamState(lr=0.01)
-        adam_step([("p", p)], state)
-        adam_step([("p", p)], state)
+        adam_step(p, state)
+        adam_step(p, state)
         expected = -2 * state.lr * g / (np.abs(g) + state.eps)
         npt.assert_allclose(p.value, expected, atol=1e-12)
-
-    def test_absent_parameters_untouched(self):
-        p = Parameter(np.ones((1, 1)), grad=np.ones((1, 1)))
-        q = Parameter(np.ones((1, 1)), grad=np.ones((1, 1)))
-        state = AdamState(lr=0.5)
-        adam_step([("p", p)], state)
-        assert q.value[0, 0] == 1.0
-        assert "q" not in state.m and "q" not in state.v
-        assert p.value[0, 0] != 1.0
 
 
 class TestFiniteDifferenceCheck:

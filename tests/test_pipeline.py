@@ -163,13 +163,17 @@ class TestTrainPhase:
             ModelDims(d_in=3, d_hidden=cfg.d_hidden, num_classes=2), ss_init
         )
         graphs = [to_prop_graph(e) for e in events]
-        named = params.named_parameters((GROUP_SHARED, GROUP_MAIN))
-        opt = AdamState(lr=cfg.train_lr)
+        # One Adam state per matrix, independent of the span update.
+        opts = [
+            (p, AdamState(lr=cfg.train_lr))
+            for _, p in params.named_parameters((GROUP_SHARED, GROUP_MAIN))
+        ]
         for _ in range(cfg.epochs):
             for idx in order_rng.permutation(len(graphs)):
-                params.zero_grads((GROUP_SHARED, GROUP_MAIN))
+                params.span((GROUP_SHARED, GROUP_MAIN)).grad.fill(0.0)
                 objective(graphs[idx], params, label=events[idx].label)
-                adam_step(named, opt)
+                for p, opt in opts:
+                    adam_step(p, opt)
 
         for g in (GROUP_SHARED, GROUP_MAIN, GROUP_SSL):
             assert group_bytes(model.params, g) == group_bytes(params, g), g
@@ -511,6 +515,10 @@ def test_large_cascade_steps_reuse_freed_heap_pages(separable_model):
     assert tard._keep_freed_arrays_in_heap()
 
 
+def _skew_eta(rec: dict) -> None:
+    rec["train_stats"]["eta"][0][1] += 1.0
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, separable_model, tmp_path):
         model, _ = separable_model
@@ -546,7 +554,9 @@ class TestCheckpoints:
             ("theta_m.out_b", ("params", "matrices", "theta_m.out_b", "data", 0)),
         ],
     )
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float")]
+    )
     def test_rejects_non_finite_entries(self, separable_model, tmp_path, entry, path, bad):
         model, _ = separable_model
         rec = checkpoint_record(model)
@@ -620,6 +630,101 @@ class TestCheckpoints:
         named = f"checkpoint {ckpt}: 'config.{key}' is out of range: {error}"
         with pytest.raises(ValueError, match=re.escape(named)):
             load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda rec: rec["config"].pop("ttt_lr"), "'config.ttt_lr' is missing"),
+            (lambda rec: rec["config"].pop("adjacency"), "'config.adjacency' is missing"),
+            (
+                lambda rec: rec["params"]["dims"].pop("ssl_layers"),
+                "'params.dims.ssl_layers' is missing",
+            ),
+            (lambda rec: rec.pop("training_log"), "'training_log' is missing"),
+            (lambda rec: rec["train_stats"].update(extra=1), "unknown key 'train_stats.extra'"),
+            (
+                lambda rec: rec["params"]["matrices"]["theta_m.out_b"].update(extra=1),
+                "unknown key 'params.matrices.theta_m.out_b.extra'",
+            ),
+            (
+                lambda rec: rec["params"]["matrices"]["theta_m.out_b"]["data"].__setitem__(0, True),
+                "'params.matrices.theta_m.out_b.data.0' has the wrong type: True",
+            ),
+            (
+                lambda rec: rec["params"]["matrices"]["theta_m.out_b"]["shape"].__setitem__(0, 1.0),
+                "'params.matrices.theta_m.out_b.shape.0' has the wrong type: 1.0",
+            ),
+            (
+                lambda rec: rec["train_stats"]["mu"].__setitem__(0, True),
+                "'train_stats.mu.0' has the wrong type: True",
+            ),
+            (
+                lambda rec: rec["train_stats"]["eta"][0].__setitem__(1, "0.5"),
+                "'train_stats.eta.0.1' has the wrong type: '0.5'",
+            ),
+            (
+                lambda rec: rec["train_stats"]["eta"].__setitem__(0, 0.5),
+                "'train_stats.eta.0' has the wrong type: 0.5",
+            ),
+            (
+                lambda rec: rec["train_stats"]["eta"][0].append(0.5),
+                "'train_stats.eta' does not fit shape",
+            ),
+            (lambda rec: rec["train_stats"]["mu"].pop(), "'train_stats.mu' has"),
+            (_skew_eta, "'train_stats.eta' is not symmetric"),
+            (
+                lambda rec: rec.update(training_log={"a": 1}),
+                "'training_log' has the wrong type: {'a': 1}",
+            ),
+            (
+                lambda rec: rec["params"]["dims"].update(d_hidden="4"),
+                "'params.dims.d_hidden' has the wrong type: '4'",
+            ),
+            (
+                lambda rec: rec["params"]["dims"].update(num_classes=1),
+                "'params.dims.num_classes' is out of range: num_classes must be >= 2",
+            ),
+        ],
+        ids=[
+            "config-missing-ttt_lr",
+            "config-missing-adjacency",
+            "dims-missing",
+            "log-missing",
+            "stats-unknown",
+            "matrix-unknown",
+            "data-bool",
+            "shape-float",
+            "mu-bool",
+            "eta-string",
+            "eta-row-number",
+            "eta-ragged",
+            "mu-short",
+            "eta-asymmetric",
+            "log-not-list",
+            "dims-type",
+            "dims-range",
+        ],
+    )
+    def test_rejects_a_bad_leaf_naming_its_key(self, separable_model, tmp_path, corrupt, named):
+        model, _ = separable_model
+        rec = json.loads(json.dumps(checkpoint_record(model)))
+        corrupt(rec)
+        ckpt = tmp_path / "leaf.json"
+        ckpt.write_text(json.dumps(rec))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {ckpt}: {named}")):
+            load_checkpoint(ckpt)
+
+    def test_loads_edits_that_keep_it_valid(self, separable_model, tmp_path):
+        model, _ = separable_model
+        rec = checkpoint_record(model)
+        rec["params"]["matrices"]["theta_m.out_b"]["data"][:2] = [-0.0, 0]
+        rec["training_log"] = []
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(rec))
+        back = load_checkpoint(ckpt)
+        assert np.signbit(back.params.theta_m_out_b.value[0, 0])
+        assert back.params.theta_m_out_b.value[0, 1] == 0.0
+        assert back.training_log == []
 
     def test_with_config_shares_params(self, separable_model):
         model, _ = separable_model
