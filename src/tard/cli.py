@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
@@ -24,7 +23,7 @@ from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
     _check_file_values,
-    _fits,
+    _check_record,
     architecture_mismatch,
     evaluate,
     fork_map,
@@ -49,24 +48,13 @@ TEST_FILE = "test.jsonl"
 META_FILE = "meta.json"
 CHECKPOINT_FILE = "model.json"
 
-#: Flags that override a TrainConfig field: (argparse dest, field).
-TRAIN_FLAGS = (
-    ("seed", "seed"),
-    ("alpha1", "alpha1"),
-    ("alpha2", "alpha2"),
-    ("ttt_steps", "ttt_steps"),
-    ("ttt_lr", "ttt_lr"),
-    ("mode", "adaptation_mode"),
-)
+#: TrainConfig fields that a flag of the same argparse dest overrides.
+TRAIN_FLAGS = ("seed", "alpha1", "alpha2", "ttt_steps", "ttt_lr", "adaptation_mode")
 
 #: Config-file sections and the dataclass whose fields each may set.
 CONFIG_SECTIONS = {"domain": DomainSpec, "shift": ShiftSpec, "train": TrainConfig}
-CONFIG_TOP_LEVEL = {
-    "seed": int,
-    "val_events": int,
-    "test_events": int,
-    **dict.fromkeys(CONFIG_SECTIONS, dict),
-}
+#: Every key a config file may set, checked as a checkpoint's are, but any may be left out.
+CONFIG_RECORD = {"seed": int, "val_events": int, "test_events": int, **CONFIG_SECTIONS}
 
 
 def _progress(msg: str) -> None:
@@ -82,28 +70,17 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    _check_keys(path, "", data, CONFIG_TOP_LEVEL)
-    for section, cls in CONFIG_SECTIONS.items():
-        _check_keys(path, f"{section}.", data.get(section, {}), typing.get_type_hints(cls))
+    _check_record(f"config file {path}", "", data, CONFIG_RECORD, partial=True)
     return data
 
 
-def _check_keys(path: str, prefix: str, values: dict, hints: dict) -> None:
-    for key, value in values.items():
-        if key not in hints:
-            raise ValueError(f"config file {path}: unknown key {prefix + key!r}")
-        if not _fits(value, hints[key]):
-            raise ValueError(f"config file {path}: {prefix + key!r} has the wrong type: {value!r}")
-
-
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    values = {field: getattr(args, flag, None) for flag, field in TRAIN_FLAGS}
-    return {field: value for field, value in values.items() if value is not None}
-
-
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def resolve_config(
+    args: argparse.Namespace, train: TrainConfig | None = None
+) -> ExperimentConfig:
     """defaults <- config file <- flags, validated by the component types.
 
+    ``train``, when given (a checkpoint's config), stands in for the default
+    train section, and the file's top-level ``seed`` then leaves it alone.
     The file's values are checked over the defaults before any flag is
     applied, so an error names the file only when the file is at fault. The
     checked sections are the ones returned; flags apply to them through
@@ -117,6 +94,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if seed_flag is None and seed < 0:
         raise ValueError(f"{source}: 'seed' is out of range: seed must be >= 0")
     base = shift_mid(seed)
+    if train is not None:
+        base = replace(base, train=train)
     sections = {
         section: _check_file_values(
             source, f"{section}.", cls, asdict(getattr(base, section)), file_cfg.get(section, {})
@@ -127,7 +106,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = _check_file_values(source, "", partial(replace, base), {}, counts)
     if seed_flag is not None:
         sections["domain"] = replace(sections["domain"], seed=seed_flag)
-    sections["train"] = replace(sections["train"], **_flag_overrides(args))
+    flags = {f: getattr(args, f) for f in TRAIN_FLAGS if getattr(args, f, None) is not None}
+    sections["train"] = replace(sections["train"], **flags)
     try:
         return replace(cfg, **sections)
     except ValueError as exc:  # the file's sections contradict each other
@@ -208,25 +188,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    file_train = file_cfg.get("train", {})
-    train = _check_file_values(
-        f"config file {args.config}", "train.", TrainConfig, asdict(model.config), file_train
-    )
-    bad = architecture_mismatch(file_train, model.params.dims)
-    if bad is not None:
+    train = resolve_config(args, train=model.config).train
+    bad = architecture_mismatch(asdict(train), model.params.dims)
+    if bad is not None:  # only a config file sets the architecture
         key, value, have = bad
         raise ValueError(
             f"config file {args.config}: 'train.{key}' is {value}, but the checkpoint has {have}"
         )
-    model = replace(model, config=replace(train, **_flag_overrides(args)))
+    model = replace(model, config=train)
     fingerprint = config_fingerprint(model.config)
     _progress("resolved eval config:")
     _progress(json.dumps(asdict(model.config), sort_keys=True, indent=2))
     _progress(f"config_hash={fingerprint}")
 
     test_events = read_dataset(args.test_data)
-    records = evaluate(test_events, model)
+    try:
+        records = evaluate(test_events, model)
+    except ValueError as exc:  # the test set does not fit the checkpoint
+        raise ValueError(f"{args.test_data}: {exc}") from None
     report = compute_metrics(records, fingerprint=fingerprint, seed=model.config.seed)
 
     out = _out_dir(args)
@@ -306,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha2", type=float, help="alignment weight during adaptation")
     common.add_argument("--ttt-steps", type=int, dest="ttt_steps", help="adaptation steps per event")
     common.add_argument("--ttt-lr", type=float, dest="ttt_lr", help="adaptation learning rate")
-    common.add_argument("--mode", choices=ADAPTATION_MODES, help="adaptation mode")
+    common.add_argument(
+        "--mode", choices=ADAPTATION_MODES, dest="adaptation_mode", help="adaptation mode"
+    )
 
     parser = argparse.ArgumentParser(
         prog="tard",

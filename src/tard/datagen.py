@@ -233,6 +233,8 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
     # type(...) is int: a JSON integer, not a float, boolean or string.
     if type(rec["label"]) is not int:
         raise InvalidEventError(f"'label' is {rec['label']!r}, not a JSON integer")
+    if not -(2**63) <= rec["label"] < 2**63:
+        raise InvalidEventError("'label' does not fit a 64-bit integer")
     try:
         if type(rec["edges"]) is not list:
             raise TypeError

@@ -190,14 +190,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(loss), grad / b
 
 
+#: Adam's moment decay rates and denominator floor, the same for every run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam hyperparameters and the moments of the one parameter it steps."""
+    """Adam's learning rate and the moments of the one parameter it steps."""
 
     lr: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -210,11 +213,11 @@ def adam_step(p: Parameter, state: AdamState) -> None:
     if state.m is None:
         state.m, state.v = np.zeros_like(p.value), np.zeros_like(p.value)
     state.step_count += 1
-    bc1 = 1.0 - state.beta1**state.step_count
-    bc2 = 1.0 - state.beta2**state.step_count
+    bc1 = 1.0 - ADAM_BETA1**state.step_count
+    bc2 = 1.0 - ADAM_BETA2**state.step_count
     m, v, g = state.m, state.v, p.grad
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

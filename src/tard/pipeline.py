@@ -180,32 +180,24 @@ def _check_feature_dims(events: Sequence[PropagationEvent]) -> int:
     return d
 
 
-def train_phase(
-    train_set: Sequence[PropagationEvent],
-    config: TrainConfig,
-    num_classes: int | None = None,
-) -> TrainedModel:
+def train_phase(train_set: Sequence[PropagationEvent], config: TrainConfig) -> TrainedModel:
     """Joint training of extractor, classification head and SSL head.
 
     One graph per optimizer step; epoch order reshuffled from the order
     stream. Early-stops when the epoch objective stops improving by at least
     min_delta for `patience` consecutive epochs. Embedding stats are computed
-    from the final parameters over the whole training set.
+    from the final parameters over the whole training set. The classes are
+    0 up to the largest label, and at least two.
     """
     if not train_set:
         raise ValueError("empty training set")
     d_in = _check_feature_dims(train_set)
     labels = [e.label for e in train_set]
-    if num_classes is None:
-        num_classes = max(max(labels) + 1, 2)
-    bad = [e.id for e in train_set if not 0 <= e.label < num_classes]
-    if bad:
-        raise ValueError(f"labels outside [0, {num_classes}) for events {bad[:5]}")
 
     dims = ModelDims(
         d_in=d_in,
         d_hidden=config.d_hidden,
-        num_classes=num_classes,
+        num_classes=max(max(labels) + 1, 2),
         shared_layers=config.shared_layers,
         main_layers=config.main_layers,
         ssl_layers=config.ssl_layers,
@@ -270,19 +262,19 @@ def ttt_adapt(
     graph: PropGraph,
     model: TrainedModel,
     rng: np.random.Generator,
-    params: TardParams | None = None,
+    params: TardParams,
 ) -> tuple[TardParams, tuple[Losses, Losses]]:
     """Per-sample test-time training: ttt_steps Adam steps on L_s + alpha2*L_c.
 
-    Starts from `params` when given (online mode) or from the trained
-    snapshot. Only the extractor and SSL head move; the classification head
-    is not even handed to the optimizer. The input parameters are never
-    mutated. The first rng draw is a probe permutation used to score L_s
-    before and after; each step then draws its own corruption. Returns the
-    adapted parameters and the (pre, post) probe losses.
+    Starts from a copy of `params`. Only the extractor and SSL head move;
+    the classification head is not even handed to the optimizer. The input
+    parameters are never mutated. The first rng draw is a probe permutation
+    used to score L_s before and after; each step then draws its own
+    corruption. Returns the adapted parameters and the (pre, post) probe
+    losses.
     """
     cfg = model.config
-    work = snapshot(params if params is not None else model.params)
+    work = snapshot(params)
     probe_perm = rng.permutation(graph.num_nodes)
     stats = model.train_stats
     pre = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
@@ -333,15 +325,12 @@ def _check_model_compat(events: Sequence[PropagationEvent], model: TrainedModel)
 
 
 def _eval_one(
-    event: PropagationEvent,
-    model: TrainedModel,
-    seed: int,
-    params: TardParams,
+    event: PropagationEvent, model: TrainedModel, params: TardParams
 ) -> tuple[EventRecord, TardParams]:
     start = time.perf_counter()
     graph = to_prop_graph(event, mode=model.config.adjacency)
-    rng = event_rng(seed, event.id)
-    adapted, (pre, post) = ttt_adapt(graph, model, rng, params=params)
+    rng = event_rng(model.config.seed, event.id)
+    adapted, (pre, post) = ttt_adapt(graph, model, rng, params)
     pred, probs = predict(graph, adapted)
     wall = time.perf_counter() - start
     record = EventRecord(
@@ -405,16 +394,12 @@ def fork_map(fn: typing.Callable, items: Sequence) -> list:
         _FORK_JOB = None
 
 
-def evaluate(
-    test_set: Sequence[PropagationEvent],
-    model: TrainedModel,
-    seed: int | None = None,
-) -> list[EventRecord]:
+def evaluate(test_set: Sequence[PropagationEvent], model: TrainedModel) -> list[EventRecord]:
     """Adapt-and-predict every event in order.
 
     Episodic mode starts each event from the trained snapshot, and every
-    event's randomness comes from (seed, event id), so records are a pure
-    function of (model, event, seed): reordering or splitting the test set
+    event's randomness comes from (config seed, event id), so records are a
+    pure function of (model, event): reordering or splitting the test set
     cannot change any record. Episodic events that adapt therefore go
     through ``fork_map``, and the records are identical for any worker
     count. Online mode carries the adapted parameters over to the next
@@ -424,16 +409,12 @@ def evaluate(
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
-    if seed is None:
-        seed = model.config.seed
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if model.config.adaptation_mode == EPISODIC and model.config.ttt_steps > 0:
-        return fork_map(lambda event: _eval_one(event, model, seed, model.params)[0], test_set)
+        return fork_map(lambda event: _eval_one(event, model, model.params)[0], test_set)
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:
-        record, adapted = _eval_one(event, model, seed, running)
+        record, adapted = _eval_one(event, model, running)
         records.append(record)
         if model.config.adaptation_mode == ONLINE:
             running = adapted
@@ -518,10 +499,11 @@ _CHECKPOINT_RECORD = {
 }
 
 
-def _check_record(source: str, key: str, value, schema) -> None:
+def _check_record(source: str, key: str, value, schema, partial: bool = False) -> None:
     """Raise a ValueError naming ``source`` and the dotted key of the first
     part of ``value`` that does not fit ``schema`` (see
-    ``_CHECKPOINT_RECORD``); a list names its first wrong entry."""
+    ``_CHECKPOINT_RECORD``); a list names its first wrong entry. With
+    ``partial`` (a config file) an object may leave keys out."""
     if is_dataclass(schema):
         schema = typing.get_type_hints(schema)
     if isinstance(schema, dict):
@@ -532,9 +514,10 @@ def _check_record(source: str, key: str, value, schema) -> None:
         if unknown:
             raise ValueError(f"{source}: unknown key {prefix + unknown[0]!r}")
         for k, hint in schema.items():
-            if k not in value:
+            if k in value:
+                _check_record(source, prefix + k, value[k], hint, partial)
+            elif not partial:
                 raise ValueError(f"{source}: {prefix + k!r} is missing")
-            _check_record(source, prefix + k, value[k], hint)
     elif not _fits(value, schema):
         if typing.get_origin(schema) is tuple and isinstance(value, list):
             for i, item in enumerate(value):
@@ -565,6 +548,14 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     if bad is not None:
         name, value, have = bad
         raise ValueError(f"{source}: 'config.{name}' is {value}, but 'params.dims' gives {have}")
+    # Counted before ``layout`` lists every layer, which for a huge layer
+    # count would exhaust memory.
+    have = len(rec["params"]["matrices"])
+    need = dims.shared_layers + dims.main_layers + dims.ssl_layers + 2
+    if have < need:
+        raise ValueError(
+            f"{source}: 'params.matrices' has {have} matrices, but 'params.dims' gives {need}"
+        )
     mu = rec["train_stats"]["mu"]
     if len(mu) != dims.d_hidden:
         raise ValueError(

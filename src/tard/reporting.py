@@ -78,16 +78,13 @@ def confusion_matrix(records: Sequence[EventRecord], num_classes: int) -> np.nda
 
 
 def compute_metrics(
-    records: Sequence[EventRecord],
-    num_classes: int | None = None,
-    fingerprint: str = "",
-    seed: int = 0,
+    records: Sequence[EventRecord], fingerprint: str = "", seed: int = 0
 ) -> MetricsReport:
-    """Accuracy, per-class F1 (0 when precision+recall is 0), macro-F1."""
+    """Accuracy, per-class F1 (0 when precision+recall is 0), macro-F1, over
+    as many classes as a record has probabilities."""
     if not records:
         raise ValueError("no records to score")
-    if num_classes is None:
-        num_classes = len(records[0].probs)
+    num_classes = len(records[0].probs)
     conf = confusion_matrix(records, num_classes)
     total = int(conf.sum())
     accuracy = float(np.trace(conf)) / total
@@ -194,7 +191,7 @@ def emit_report(
     rows: Sequence[tuple[str, MetricsReport]],
     path: str | Path,
     format: str,
-    fingerprint: str | None = None,
+    fingerprint: str,
     title: str = "results",
 ) -> Path:
     """Write labeled metric rows as CSV, JSON, or an SVG chart.
@@ -205,8 +202,6 @@ def emit_report(
     if not rows:
         raise ValueError("no reports to emit")
     path = Path(path)
-    if fingerprint is None:
-        fingerprint = rows[0][1].config_fingerprint
     if format == "csv":
         num_classes = len(rows[0][1].per_class_f1)
         with path.open("w", encoding="utf-8", newline="") as fh:

@@ -111,7 +111,7 @@ def test_criterion_2_frozen_head():
         )
         graph = make_random_graph(rng, int(rng.integers(2, 10)), 3)
         before = group_bytes(variant.params, GROUP_MAIN)
-        adapted, _ = ttt_adapt(graph, variant, np.random.default_rng(i))
+        adapted, _ = ttt_adapt(graph, variant, np.random.default_rng(i), variant.params)
         if group_bytes(adapted, GROUP_MAIN) != before:
             violations += 1
     ok = violations == 0

@@ -1,13 +1,14 @@
 """End-to-end command-line flows on a miniature experiment config."""
 
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from conftest import parse_report_csv
 from tard import pipeline
-from tard.cli import main
+from tard.cli import build_parser, main, resolve_config
 from tard.graphs import to_prop_graph
 from tard.pipeline import load_checkpoint, predict
 
@@ -130,8 +131,6 @@ class TestGen:
                 "eval", {"train": {"ttt_steps": -1}}, ["bad.json", "'train.ttt_steps'"],
                 id="eval-range",
             ),
-            pytest.param("gen", {"test_events": 0}, ["bad.json", "'test_events'"], id="gen-count"),
-            pytest.param("gen", {"seed": -2}, ["bad.json", "'seed'"], id="gen-seed"),
             *(
                 pytest.param(
                     command,
@@ -139,23 +138,29 @@ class TestGen:
                     ["bad.json", "'shift.mean_translation'", "'domain.feature_dim' is 3"],
                     id=f"{command}-cross-section",
                 )
-                for command in ("gen", "train", "ablate", "sweep")
-            ),
-            pytest.param(
-                "gen",
-                {"domain": {"feature_dim": 3}},
-                ["bad.json", "'shift.mean_translation'", "'domain.feature_dim' is 3"],
-                id="gen-feature-dim-only",
+                for command in ("gen", "train", "ablate", "sweep", "eval")
             ),
             *(
-                pytest.param(command, payload, ["bad.json", key], id=f"{command}-{case}")
+                pytest.param(command, payload, ["bad.json", *keys], id=f"{command}-{case}")
                 for command in ("gen", "eval")
-                for case, payload, key in (
-                    ("train-key", {"train": {"bogus": 1}}, "'train.bogus'"),
-                    ("domain-key", {"domain": {"bogus": 1}}, "'domain.bogus'"),
-                    ("float-type", {"train": {"alpha1": "abc"}}, "'train.alpha1'"),
-                    ("int-type", {"train": {"ttt_steps": "5"}}, "'train.ttt_steps'"),
-                    ("section-type", {"domain": []}, "'domain'"),
+                for case, payload, keys in (
+                    ("count", {"test_events": 0}, ["'test_events'"]),
+                    ("seed", {"seed": -2}, ["'seed'"]),
+                    (
+                        "feature-dim-only",
+                        {"domain": {"feature_dim": 3}},
+                        ["'shift.mean_translation'", "'domain.feature_dim' is 3"],
+                    ),
+                    ("train-key", {"train": {"bogus": 1}}, ["'train.bogus'"]),
+                    ("domain-key", {"domain": {"bogus": 1}}, ["'domain.bogus'"]),
+                    ("float-type", {"train": {"alpha1": "abc"}}, ["'train.alpha1'"]),
+                    ("int-type", {"train": {"ttt_steps": "5"}}, ["'train.ttt_steps'"]),
+                    ("section-type", {"domain": []}, ["'domain' is not a JSON object"]),
+                    (
+                        "size-dist-entry",
+                        {"domain": {"size_dist": [1, "x"]}},
+                        ["'domain.size_dist.1' has the wrong type: 'x'"],
+                    ),
                 )
             ),
         ],
@@ -304,6 +309,22 @@ class TestEval:
         assert len(payload["config_fingerprint"]) == 12
         assert payload["reports"][0]["num_events"] == 4
 
+    def test_echo_is_the_checkpoint_config_under_file_and_flags(self, workdir, tmp_path, capsys):
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {"alpha2": 0.5, "ttt_lr": 0.002}}))
+        flags = ["--seed", "3", "--ttt-steps", "1", "--mode", "online"]
+        args = ["eval", *_inputs(workdir, "eval"), "--config", str(config), *flags]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        echoed = err.split("resolved eval config:\n", 1)[1].split("\nconfig_hash=", 1)[0]
+        trained = load_checkpoint(workdir["checkpoint"]).config
+        expected = replace(
+            trained, alpha2=0.5, ttt_lr=0.002, seed=3, ttt_steps=1, adaptation_mode="online"
+        )
+        assert json.loads(echoed) == asdict(expected)
+        parsed = build_parser().parse_args([*args, "--out", "unused"])
+        assert resolve_config(parsed, train=trained).train == expected
+
     def test_corrupt_test_data_exits_2_naming_line(self, workdir, tmp_path, capsys):
         good = (workdir["data"] / "test.jsonl").read_text().splitlines()
         corrupted = tmp_path / "corrupt.jsonl"
@@ -343,7 +364,7 @@ class TestEval:
             ]
         )
         assert code == 2
-        assert "feature dim" in capsys.readouterr().err
+        assert f"{other}: feature dim mismatch: data has 5" in capsys.readouterr().err
 
     def test_label_outside_the_classes_exits_2_before_adapting(
         self, workdir, tmp_path, capsys
@@ -356,7 +377,7 @@ class TestEval:
         out = tmp_path / "evl"
         code = main(["eval", str(workdir["checkpoint"]), str(data), "--out", str(out)])
         assert code == 2
-        assert f"event {bad['id']!r} has label 5" in capsys.readouterr().err
+        assert f"{data}: event {bad['id']!r} has label 5" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -370,6 +370,8 @@ class TestDatasetFiles:
             ("label", 0.9, "'label' is 0.9"),
             ("label", True, "'label' is True"),
             ("label", "1", "'label' is '1'"),
+            ("label", 2**63, "'label' does not fit a 64-bit integer$"),
+            ("label", -(10**400), "'label' does not fit a 64-bit integer$"),
             ("edges", [[0, 1.7]], r"'edges' entry \[0, 1.7\]"),
             ("edges", [[0, 1], [True, 2]], r"'edges' entry \[True, 2\]"),
             ("edges", [["0", "1"]], r"'edges' entry \['0', '1'\]"),
@@ -383,6 +385,8 @@ class TestDatasetFiles:
             "label-float",
             "label-bool",
             "label-string",
+            "label-beyond-int64",
+            "label-huge-negative",
             "edge-float",
             "edge-bool",
             "edge-strings",

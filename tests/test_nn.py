@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import finite_difference_check
 from tard.graphs import PropGraph
 from tard.nn import (
+    ADAM_EPS,
     LOG_EPS,
     AdamState,
     Parameter,
@@ -250,7 +251,7 @@ class TestAdam:
         state = AdamState(lr=0.01)
         adam_step(p, state)
         adam_step(p, state)
-        expected = -2 * state.lr * g / (np.abs(g) + state.eps)
+        expected = -2 * state.lr * g / (np.abs(g) + ADAM_EPS)
         npt.assert_allclose(p.value, expected, atol=1e-12)
 
 

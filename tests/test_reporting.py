@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ class TestComputeMetrics:
         assert rep.macro_f1 == 1.0
 
     def test_degenerate_class_flagged_with_zero_f1(self):
-        rep = compute_metrics(SIX_RECORDS, num_classes=3)
+        # A third probability gives a third class, which no record has.
+        rep = compute_metrics([replace(r, probs=(*r.probs, 0.0)) for r in SIX_RECORDS])
         assert rep.degenerate_classes == (2,)
         assert rep.per_class_f1[2] == 0.0
         assert rep.class_counts == (3, 3, 0)
@@ -159,19 +161,13 @@ class TestEmitReport:
         assert parsed[1]["f1_class1"] == 1 / 3
 
     def test_csv_columns(self, tmp_path):
-        path = emit_report([("tard", _report(0.5, 0.5))], tmp_path / "r.csv", "csv")
+        path = emit_report([("tard", _report(0.5, 0.5))], tmp_path / "r.csv", "csv", "fp")
         header = path.read_text().splitlines()[1]
         assert header == "variant,seed,accuracy,macro_f1,f1_class0,f1_class1"
 
-    def test_csv_uses_report_fingerprint_by_default(self, tmp_path):
-        path = emit_report(
-            [("tard", _report(0.5, 0.5, fp="deadbeef"))], tmp_path / "r.csv", "csv"
-        )
-        assert path.read_text().splitlines()[0] == "# config=deadbeef"
-
     def test_json_mirrors_reports(self, tmp_path):
         rep = _report(0.75, 0.7, seed=4, fp="aa")
-        path = emit_report([("tard", rep)], tmp_path / "r.json", "json")
+        path = emit_report([("tard", rep)], tmp_path / "r.json", "json", "aa")
         payload = json.loads(path.read_text())
         assert payload["config_fingerprint"] == "aa"
         assert payload["reports"] == [
@@ -190,7 +186,7 @@ class TestEmitReport:
 
     def test_svg_is_well_formed(self, tmp_path):
         rows = [(f"v{i}", _report(0.4 + 0.05 * i, 0.4)) for i in range(5)]
-        path = emit_report(rows, tmp_path / "r.svg", "svg", title="ablation")
+        path = emit_report(rows, tmp_path / "r.svg", "svg", "fp", title="ablation")
         root = ET.fromstring(path.read_text())
         assert root.tag.endswith("svg")
         body = path.read_text()
@@ -203,16 +199,16 @@ class TestEmitReport:
             for s in range(10)
         ]
         for fmt in ("csv", "svg"):
-            path = emit_report(rows, tmp_path / f"r.{fmt}", fmt)
+            path = emit_report(rows, tmp_path / f"r.{fmt}", fmt, "fp")
             assert path.stat().st_size < 10_000, fmt
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([], tmp_path / "r.csv", "csv")
+            emit_report([], tmp_path / "r.csv", "csv", "fp")
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_report([("a", _report(0.5, 0.5))], tmp_path / "r.xyz", "xyz")
+            emit_report([("a", _report(0.5, 0.5))], tmp_path / "r.xyz", "xyz", "fp")
 
 
 class TestRunAblation:
@@ -265,8 +261,6 @@ class TestRunSensitivity:
         rows = run_sensitivity(train, test, cfg, "alpha1")
         assert len(rows) == 9
         zero_rep = rows[0][1]
-        from dataclasses import replace
-
         from tard.pipeline import evaluate
 
         supervised = train_phase(train, replace(cfg, alpha1=0.0))
