@@ -69,12 +69,13 @@ class PropagationEvent:
 
 #: Node count from which ``to_prop_graph`` builds the edge-list operator in
 #: place of the dense N x N one. Measured per event (30 adaptation steps,
-#: d_hidden 16; three runs of 7-15 alternating repeats) on a 2-vCPU VM with
-#: OpenBLAS, as edge-list over dense time: 1.12-1.26 undirected and
-#: 1.08-1.18 directed at 150 nodes, 0.96-1.05 and 0.89-0.98 at 200, 0.91-0.95
-#: and 0.81-0.88 at 250, 0.89-0.93 and 0.76-0.83 at 300. From 250 nodes the
-#: edge list is faster in both modes. Shift-mid's graphs (at most 90 nodes)
-#: stay dense.
+#: d_hidden 16; three runs of 9 alternating repeats over 4 events per size)
+#: on a 2-vCPU VM with OpenBLAS, as edge-list over dense time: 1.06-1.19
+#: undirected and 1.07-1.11 directed at 150 nodes, 0.93-0.94 and 0.77-0.93 at
+#: 200, 0.66-0.79 and 0.69-0.80 at 250, 0.70-0.78 and 0.63-0.77 at 300. From
+#: 200 nodes the edge list is faster in both modes. The threshold is left at
+#: 250 so that no existing event changes form; lowering it is an open item.
+#: Shift-mid's graphs (at most 90 nodes) stay dense.
 EDGE_LIST_MIN_NODES = 250
 
 
@@ -101,11 +102,14 @@ class EdgeList:
     indptr[:-1], axis=0)`` at a fraction of its cost. Rows with 1 to
     :data:`BUCKET_MAX_ENTRIES` entries are grouped by length ``L`` once, at
     construction, with their columns and values laid out position-major as
-    ``(L, rows)``. A product then gathers and scales one ``(rows, d)`` slice
-    per position and sums the slices in reduceat's order; the few longer
-    rows, such as a cascade's root, share one ``reduceat`` call. Evaluating
-    one 2000-node cascade makes 96 products; on a 2-vCPU VM they take
-    72-78 ms this way, against 197-229 ms as one ``reduceat`` call each.
+    ``(L, rows)``, and each group's rows given one contiguous span of a row
+    buffer, with the longer rows last. A product then gathers one
+    ``(L, rows, d)`` block per group with one ``take``, scales it, and sums
+    its positions in reduceat's order into the group's span; the few longer
+    rows, such as a cascade's root, share one ``reduceat`` call. One more
+    ``take`` with the stored inverse order puts the rows back in node order.
+    Evaluating one 2000-node cascade makes 96 products; on a 2-vCPU VM they
+    take 50-61 ms this way, against 183-221 ms as one ``reduceat`` call each.
     """
 
     indptr: np.ndarray
@@ -113,30 +117,37 @@ class EdgeList:
     vals: np.ndarray
     transpose: InitVar[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = None
     T: EdgeList = field(init=False, repr=False)
-    # (rows, cols (L, rows), vals (L, rows, 1)) per row length L <= the cap.
-    _buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(init=False, repr=False)
-    # (rows, segment starts, cols, vals (entries, 1)) of the longer rows.
-    _long_rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False
-    )
+    # (start, stop, cols (L, rows), vals (L, rows, 1)) per row length L <= the
+    # cap: the bucket's sums fill [start:stop] of the product's row buffer.
+    _buckets: list[tuple[int, int, np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    # (start, segment starts, cols, vals (entries, 1)) of the longer rows,
+    # which fill the buffer from start on.
+    _long_rows: tuple[int, np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # The buffer position of each node's row.
+    _inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, transpose) -> None:
         lengths = self._check()
-        buckets = []
+        buckets, order = [], []
+        start = 0
         for length in range(1, BUCKET_MAX_ENTRIES + 1):
             rows = np.flatnonzero(lengths == length)
             if rows.size:
                 at = self.indptr[rows] + np.arange(length)[:, None]
-                buckets.append((rows, self.cols[at], self.vals[at][..., None]))
+                buckets.append((start, start + rows.size, self.cols[at], self.vals[at][..., None]))
+                order.append(rows)
+                start += rows.size
         rows = np.flatnonzero(lengths > BUCKET_MAX_ENTRIES)
+        order.append(rows)
         counts = lengths[rows]
         starts = np.cumsum(counts) - counts
         # The long rows' entries, concatenated: row j's run begins at starts[j].
         at = np.repeat(self.indptr[rows] - starts, counts) + np.arange(counts.sum())
         object.__setattr__(self, "_buckets", buckets)
         object.__setattr__(
-            self, "_long_rows", (rows, starts, self.cols[at], self.vals[at][:, None])
+            self, "_long_rows", (start, starts, self.cols[at], self.vals[at][:, None])
         )
+        object.__setattr__(self, "_inverse", np.argsort(np.concatenate(order)))
         t = self if transpose is None else EdgeList(*transpose)
         object.__setattr__(self, "T", t)
         object.__setattr__(t, "T", self)
@@ -171,19 +182,25 @@ class EdgeList:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[0] != self.shape[1]:
             raise ValueError(f"operator {self.shape} cannot multiply an array of shape {x.shape}")
-        out = np.empty(x.shape, dtype=np.result_type(self.vals, x))
-        for rows, cols, vals in self._buckets:
-            head = vals[0] * x[cols[0]]
-            if len(cols) > 1:
-                tail = vals[1] * x[cols[1]]
-                for k in range(2, len(cols)):
-                    tail += vals[k] * x[cols[k]]
-                head += tail
-            out[rows] = head
-        rows, starts, cols, vals = self._long_rows
-        if rows.size:
-            out[rows] = np.add.reduceat(vals * x[cols], starts, axis=0)
-        return out
+        # ``vals * x`` casts x to the result dtype before it multiplies, so
+        # casting x first and scaling the gathered block in place gives the
+        # same bits, in that dtype, with one temporary less.
+        x = x.astype(np.result_type(self.vals, x), copy=False)
+        out = np.empty(x.shape, dtype=x.dtype)
+        for start, stop, cols, vals in self._buckets:
+            w = x.take(cols, axis=0)
+            w *= vals
+            if len(w) > 1:
+                for k in range(2, len(w)):
+                    w[1] += w[k]
+                w[0] += w[1]
+            out[start:stop] = w[0]
+        start, starts, cols, vals = self._long_rows
+        if starts.size:
+            w = x.take(cols, axis=0)
+            w *= vals
+            np.add.reduceat(w, starts, axis=0, out=out[start:])
+        return out.take(self._inverse, axis=0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -198,11 +215,11 @@ class PropGraph:
     as a dense array (BLAS products) below :data:`EDGE_LIST_MIN_NODES`
     nodes and as an :class:`EdgeList` from there on, so both forms hold the
     same entries bit for bit. Measured on a 2-vCPU VM with OpenBLAS,
-    evaluating one event (30 adaptation steps, d_hidden 16) takes about
-    35 ms at 300 nodes on the dense path and 30-34 ms as an edge list. At
-    2000 nodes it takes about 0.8 s dense, where the adjacency alone holds
-    32 MB, and 0.12-0.18 s as an edge list, which holds 0.2-0.3 MB with its
-    row buckets. ``ax`` is ``propagate(features)``, computed once, since the
+    evaluating one event (30 adaptation steps, d_hidden 16) takes 35-39 ms
+    at 300 nodes on the dense path and 23-30 ms as an edge list. At 2000
+    nodes it takes 0.85-1.05 s dense, where the adjacency alone holds 32 MB,
+    and 0.14-0.18 s as an edge list, which holds 0.2-0.3 MB with its row
+    buckets. ``ax`` is ``propagate(features)``, computed once, since the
     extractor's first layer reads it on every pass over the original view;
     treat the arrays as read-only afterwards.
     """

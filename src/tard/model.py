@@ -243,7 +243,7 @@ def forward_ssl(
     the two-view head caches and the shuffled-view extractor caches.
     """
     acts = ["relu"] * (len(params.theta_s) - 1) + ["identity"]
-    x1 = graph.features[np.asarray(perm, dtype=np.intp)]
+    x1 = graph.features.take(perm, axis=0)
     h_sh1, shared1 = _run_stack(
         graph, graph.propagate(x1), params.theta_e, ["relu"] * len(params.theta_e)
     )

@@ -402,15 +402,23 @@ def evaluate(test_set: Sequence[PropagationEvent], model: TrainedModel) -> list[
     pure function of (model, event): reordering or splitting the test set
     cannot change any record. Episodic events that adapt therefore go
     through ``fork_map``, and the records are identical for any worker
-    count. Online mode carries the adapted parameters over to the next
-    event; it is order-sensitive by design, runs serially, and a
-    single-event stream matches episodic mode exactly.
+    count. They go to the pool largest first, since ``fork_map`` hands them
+    out in the order given and the largest would otherwise start last, and
+    the records come back in input order. Online mode carries the adapted
+    parameters over to the next event; it is order-sensitive by design,
+    runs serially, and a single-event stream matches episodic mode exactly.
     """
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
     if model.config.adaptation_mode == EPISODIC and model.config.ttt_steps > 0:
-        return fork_map(lambda event: _eval_one(event, model, model.params)[0], test_set)
+        # A stable sort: events of one size keep their input order.
+        order = sorted(range(len(test_set)), key=lambda i: -test_set[i].num_nodes)
+        done = fork_map(
+            lambda event: _eval_one(event, model, model.params)[0], [test_set[i] for i in order]
+        )
+        by_index = dict(zip(order, done))
+        return [by_index[i] for i in range(len(test_set))]
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:
@@ -502,7 +510,8 @@ _CHECKPOINT_RECORD = {
 def _check_record(source: str, key: str, value, schema, partial: bool = False) -> None:
     """Raise a ValueError naming ``source`` and the dotted key of the first
     part of ``value`` that does not fit ``schema`` (see
-    ``_CHECKPOINT_RECORD``); a list names its first wrong entry. With
+    ``_CHECKPOINT_RECORD``); a list, also under an optional hint, names its
+    first wrong entry. With
     ``partial`` (a config file) an object may leave keys out."""
     if is_dataclass(schema):
         schema = typing.get_type_hints(schema)
@@ -519,9 +528,11 @@ def _check_record(source: str, key: str, value, schema, partial: bool = False) -
             elif not partial:
                 raise ValueError(f"{source}: {prefix + k!r} is missing")
     elif not _fits(value, schema):
-        if typing.get_origin(schema) is tuple and isinstance(value, list):
-            for i, item in enumerate(value):
-                _check_record(source, f"{key}.{i}", item, typing.get_args(schema)[0])
+        union = typing.get_origin(schema) in (typing.Union, types.UnionType)
+        for arm in typing.get_args(schema) if union else (schema,):
+            if typing.get_origin(arm) is tuple and isinstance(value, list):
+                for i, item in enumerate(value):
+                    _check_record(source, f"{key}.{i}", item, typing.get_args(arm)[0])
         raise ValueError(f"{source}: {key!r} has the wrong type: {value!r}")
 
 

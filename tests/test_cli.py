@@ -161,6 +161,14 @@ class TestGen:
                         {"domain": {"size_dist": [1, "x"]}},
                         ["'domain.size_dist.1' has the wrong type: 'x'"],
                     ),
+                    (
+                        "optional-list-entry",
+                        {
+                            "domain": {"feature_dim": 3, "mean_translation": [1, "x", 3]},
+                            "shift": {"mean_translation": []},
+                        },
+                        ["'domain.mean_translation.1' has the wrong type: 'x'"],
+                    ),
                 )
             ),
         ],

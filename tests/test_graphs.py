@@ -364,6 +364,24 @@ class TestBucketedProduct:
                 _assert_same_bits(op, x)
                 _assert_same_bits(op.T, x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_keeps_reduceat_dtype_and_bits(self, dtype):
+        # Node i has i % 10 children, so rows of every bucket length and
+        # long rows alternate in node order; the transpose is checked too.
+        n = 60
+        edges = [(i, (i + j) % n) for i in range(n) for j in range(1, i % 10 + 1)]
+        op = edge_list_operator(edges, n, "directed")
+        lengths = np.diff(op.indptr)
+        assert set(lengths[:10]) == set(range(1, graphs.BUCKET_MAX_ENTRIES + 3))
+        rng = np.random.default_rng(3)
+        if dtype is np.int64:
+            x = rng.integers(-(2**62), 2**62, size=(n, 8))
+        else:
+            x = rng.standard_normal((n, 8)).astype(dtype)
+        for o in (op, op.T):
+            assert (o @ x).dtype == np.float64
+            _assert_same_bits(o, x)
+
     def test_nan_inputs_stay_nan_where_reduceat_puts_them(self):
         # Only NaN inputs may come out with other payload bits.
         edges, n = EDGE_CASES["hub"]

@@ -294,6 +294,33 @@ class TestEpisodicEvaluation:
         assert pools == ["fork"]
         assert by_workers[1] == by_workers[2] == _strip_wall(alone)
 
+    def test_pool_gets_the_largest_event_first(self, separable_model, monkeypatch, pools):
+        """Episodic events reach the pool in non-increasing size, with ties in
+        input order, and their records come back in input order, equal to the
+        one-CPU run's."""
+        model, _ = separable_model
+        rng = np.random.default_rng(15)
+        events = [
+            make_random_event(rng, n, 4, event_id=f"s-{i}", label=i % 2)
+            for i, n in enumerate([3, 5, 5, 8, 12])
+        ]
+        _cpus(monkeypatch, 1)
+        serial = _strip_wall(evaluate(events, model))
+        handed = []
+        fork_map = pipeline.fork_map
+
+        def spy(fn, items):
+            handed.append([(e.num_nodes, e.id) for e in items])
+            return fork_map(fn, items)
+
+        monkeypatch.setattr(pipeline, "fork_map", spy)
+        _cpus(monkeypatch, 2)
+        got = evaluate(events, model)
+        assert handed == [[(12, "s-4"), (8, "s-3"), (5, "s-1"), (5, "s-2"), (3, "s-0")]]
+        assert [r.event_id for r in got] == [e.id for e in events]
+        assert _strip_wall(got) == serial
+        assert pools == ["fork"]
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_event_error_reaches_the_caller(
         self, separable_model, monkeypatch, pools, cpus
