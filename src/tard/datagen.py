@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -255,11 +256,23 @@ def event_from_json_dict(rec: dict) -> PropagationEvent:
 
 def write_dataset(events: Sequence[PropagationEvent], path: str | Path) -> None:
     """JSON Lines, one event per line; floats keep full precision. No events
-    write an empty file."""
-    lines = [
-        json.dumps(event_to_json_dict(e), separators=(",", ":")) + "\n" for e in events
-    ]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write an empty file.
+
+    Each line is written as it is made, into a temporary file beside
+    ``path`` that then replaces ``path``: the whole dataset is never held as
+    one string, and an event that fails to serialize leaves ``path`` as it
+    was and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for e in events:
+                fh.write(json.dumps(event_to_json_dict(e), separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_dataset(path: str | Path) -> list[PropagationEvent]:

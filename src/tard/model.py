@@ -363,11 +363,17 @@ def embedding_stats(h: np.ndarray) -> EmbeddingStats:
 def compute_embedding_stats(
     graphs: Sequence[PropGraph], params: TardParams
 ) -> EmbeddingStats:
-    """Stats over ALL node embeddings of a graph collection (shared extractor)."""
+    """Stats over ALL node embeddings of a graph collection (shared extractor),
+    written into one preallocated matrix, not stacked from per-graph copies."""
     if not graphs:
         raise ValueError("empty graph collection")
-    rows = [forward_shared(g, params)[0] for g in graphs]
-    return embedding_stats(np.vstack(rows))
+    h = np.empty((sum(g.num_nodes for g in graphs), params.dims.d_hidden))
+    start = 0
+    for g in graphs:
+        stop = start + g.num_nodes
+        h[start:stop] = forward_shared(g, params)[0]
+        start = stop
+    return embedding_stats(h)
 
 
 def constraint_value(train_stats: EmbeddingStats, test_stats: EmbeddingStats) -> float:

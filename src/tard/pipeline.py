@@ -61,6 +61,12 @@ EPISODIC = "episodic"
 ONLINE = "online"
 ADAPTATION_MODES = (EPISODIC, ONLINE)
 
+#: Most adaptation steps per event a config or checkpoint may ask for: 300
+#: times the shift_mid preset's 30, about 4 s per shift-mid event at ~0.4 ms
+#: a step. Without a ceiling a count such as 10**400 passes as valid and
+#: evaluation never ends.
+MAX_TTT_STEPS = 10_000
+
 CHECKPOINT_FORMAT = "tard-checkpoint-v1"
 
 
@@ -70,7 +76,7 @@ class TrainConfig:
 
     alpha1 weights the self-supervised loss during training; alpha2 weights
     the statistics-alignment penalty during adaptation. ttt_steps = 0 turns
-    adaptation off entirely.
+    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`.
     """
 
     alpha1: float = 1.0
@@ -100,6 +106,8 @@ class TrainConfig:
             raise ValueError("learning rates must be finite and positive")
         if self.ttt_steps < 0:
             raise ValueError("ttt_steps must be >= 0")
+        if self.ttt_steps > MAX_TTT_STEPS:
+            raise ValueError(f"ttt_steps must be <= {MAX_TTT_STEPS}")
         if self.adaptation_mode not in ADAPTATION_MODES:
             raise ValueError(
                 f"adaptation_mode must be one of {ADAPTATION_MODES}, got {self.adaptation_mode!r}"

@@ -13,7 +13,6 @@ import json
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -237,6 +236,12 @@ _MARGIN_BOTTOM = 80
 _SERIES_STYLE = (("accuracy", "#1f77b4"), ("macro_f1", "#d62728"))
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text, ``&`` first (what
+    ``xml.sax.saxutils.escape`` does, without importing its urllib/ssl chain)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _render_chart(
     rows: Sequence[tuple[str, MetricsReport]], fingerprint: str, title: str
 ) -> str:
@@ -256,9 +261,9 @@ def _render_chart(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
-        f'<title>{escape(title)}</title>',
-        f'<text x="{_MARGIN_LEFT}" y="20" font-size="14">{escape(title)} '
-        f'(config {escape(fingerprint)})</text>',
+        f'<title>{_escape(title)}</title>',
+        f'<text x="{_MARGIN_LEFT}" y="20" font-size="14">{_escape(title)} '
+        f'(config {_escape(fingerprint)})</text>',
         # axes
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
         f'y2="{_MARGIN_TOP + inner_h}" stroke="black"/>',
@@ -280,7 +285,7 @@ def _render_chart(
         parts.append(
             f'<text x="{x:.1f}" y="{_MARGIN_TOP + inner_h + 14}" font-size="10" '
             f'text-anchor="end" transform="rotate(-35 {x:.1f} {_MARGIN_TOP + inner_h + 14})">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
     for attr, color in _SERIES_STYLE:
         points = " ".join(

@@ -10,7 +10,7 @@ from conftest import parse_report_csv
 from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
 from tard.graphs import to_prop_graph
-from tard.pipeline import load_checkpoint, predict
+from tard.pipeline import MAX_TTT_STEPS, load_checkpoint, predict
 
 TINY_CONFIG = {
     "seed": 0,
@@ -155,6 +155,11 @@ class TestGen:
                     ("domain-key", {"domain": {"bogus": 1}}, ["'domain.bogus'"]),
                     ("float-type", {"train": {"alpha1": "abc"}}, ["'train.alpha1'"]),
                     ("int-type", {"train": {"ttt_steps": "5"}}, ["'train.ttt_steps'"]),
+                    (
+                        "ttt-steps-ceiling",
+                        {"train": {"ttt_steps": MAX_TTT_STEPS + 1}},
+                        ["'train.ttt_steps' is out of range", f"<= {MAX_TTT_STEPS}"],
+                    ),
                     ("section-type", {"domain": []}, ["'domain' is not a JSON object"]),
                     (
                         "size-dist-entry",

@@ -313,6 +313,30 @@ class TestDatasetFiles:
             assert re.edges == orig.edges
             assert re.features.tobytes() == orig.features.tobytes()
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_streamed_file_equals_the_joined_string(self, tmp_path, count):
+        events = generate_domain(_spec(num_events=3))[:count]
+        joined = "".join(
+            json.dumps(event_to_json_dict(e), separators=(",", ":")) + "\n" for e in events
+        )
+        path = tmp_path / "d.jsonl"
+        write_dataset(events, path)
+        assert path.read_bytes() == joined.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+    def test_unserializable_event_leaves_the_old_file(self, tmp_path):
+        events = generate_domain(_spec(num_events=3))
+        path = tmp_path / "d.jsonl"
+        write_dataset(events[:1], path)
+        before = path.read_bytes()
+        # json cannot encode an np.int64, so the last line fails after two
+        # lines have been written.
+        bad = replace(events[2], label=np.int64(events[2].label))
+        with pytest.raises(TypeError):
+            write_dataset([events[0], events[1], bad], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_dataset([], path)

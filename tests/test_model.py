@@ -563,13 +563,17 @@ class TestEmbeddingStats:
         assert np.linalg.eigvalsh(stats.eta).min() >= -1e-9
 
     def test_collection_stats_pool_all_nodes(self, small_params, rng):
-        graphs = [make_random_graph(rng, n, 4) for n in (3, 5)]
-        pooled = compute_embedding_stats(graphs, small_params)
-        rows = np.vstack([forward_shared(g, small_params)[0] for g in graphs])
+        # Bit oracle: the stats of the stacked per-graph rows, over both
+        # operator forms (dense below EDGE_LIST_MIN_NODES, edge list above).
+        collection = [make_random_graph(rng, n, 4) for n in (1, 5, 300)]
+        assert isinstance(collection[0].adj_norm, np.ndarray)
+        assert isinstance(collection[2].adj_norm, graphs.EdgeList)
+        pooled = compute_embedding_stats(collection, small_params)
+        rows = np.vstack([forward_shared(g, small_params)[0] for g in collection])
         direct = embedding_stats(rows)
-        npt.assert_allclose(pooled.mu, direct.mu, atol=1e-15)
-        npt.assert_allclose(pooled.eta, direct.eta, atol=1e-15)
-        assert pooled.count == 8
+        assert pooled.mu.tobytes() == direct.mu.tobytes()
+        assert pooled.eta.tobytes() == direct.eta.tobytes()
+        assert pooled.count == 306
 
     def test_collection_stats_reject_empty(self, small_params):
         with pytest.raises(ValueError):

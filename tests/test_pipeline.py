@@ -6,6 +6,8 @@ import os
 import platform
 import re
 import resource
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -29,6 +31,7 @@ from tard.model import (
 )
 from tard.nn import AdamState, adam_step
 from tard.pipeline import (
+    MAX_TTT_STEPS,
     EventRecord,
     TrainConfig,
     checkpoint_record,
@@ -98,6 +101,12 @@ class TestTrainConfig:
     def test_rejects_negative_ttt_steps(self):
         with pytest.raises(ValueError):
             TrainConfig(ttt_steps=-1)
+
+    def test_rejects_ttt_steps_above_the_ceiling(self):
+        assert TrainConfig(ttt_steps=MAX_TTT_STEPS).ttt_steps == MAX_TTT_STEPS
+        for bad in (MAX_TTT_STEPS + 1, 10**400):
+            with pytest.raises(ValueError, match=f"ttt_steps must be <= {MAX_TTT_STEPS}"):
+                TrainConfig(ttt_steps=bad)
 
 
 class TestTrainPhase:
@@ -525,6 +534,29 @@ def test_large_cascade_steps_reuse_freed_heap_pages(separable_model):
     assert tard._keep_freed_arrays_in_heap()
 
 
+def test_import_loads_no_network_or_xml_modules():
+    """Freed memory stays resident (above), so ``import tard`` must not pull
+    in modules it never uses; ``xml.sax.saxutils`` alone brings urllib.request,
+    http.client, email and ssl. ``urllib.parse`` is allowed: the interpreter
+    and ``pathlib`` load it anyway."""
+    src = os.path.dirname(os.path.dirname(tard.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tard; "
+        "print('\\n'.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        m
+        for m in proc.stdout.split()
+        if m.split(".")[0] in ("xml", "urllib", "http", "email", "ssl")
+        and m not in ("urllib", "urllib.parse")
+    ]
+    assert loaded == []
+
+
 def _skew_eta(rec: dict) -> None:
     rec["train_stats"]["eta"][0][1] += 1.0
 
@@ -710,6 +742,10 @@ class TestCheckpoints:
                 lambda rec: rec["params"]["dims"].update(num_classes=1),
                 "'params.dims.num_classes' is out of range: num_classes must be >= 2",
             ),
+            (
+                lambda rec: rec["config"].update(ttt_steps=10**400),
+                f"'config.ttt_steps' is out of range: ttt_steps must be <= {MAX_TTT_STEPS}",
+            ),
         ],
         ids=[
             "config-missing-ttt_lr",
@@ -729,6 +765,7 @@ class TestCheckpoints:
             "log-not-list",
             "dims-type",
             "dims-range",
+            "config-ttt-steps-ceiling",
         ],
     )
     def test_rejects_a_bad_leaf_naming_its_key(self, separable_model, tmp_path, corrupt, named):

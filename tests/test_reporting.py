@@ -3,12 +3,13 @@
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from conftest import make_random_event, parse_report_csv
-from tard import pipeline
+from tard import pipeline, reporting
 from tard.datagen import generate_domain
 from tard.graphs import to_prop_graph
 from tard.model import GROUP_MAIN, GROUP_SHARED, GROUP_SSL, group_bytes
@@ -191,6 +192,17 @@ class TestEmitReport:
         assert root.tag.endswith("svg")
         body = path.read_text()
         assert "polyline" in body and "ablation" in body
+
+    def test_svg_text_escapes_as_saxutils_does(self, monkeypatch):
+        rows = [
+            ("a&b <c> \"d\" 'e'", _report(0.5, 0.4)),
+            ("&amp; >> <<", _report(0.7, 0.6)),
+        ]
+        args = (rows, "f&p<'\">", "t & <title> 'q' \"x\"")
+        ours = reporting._render_chart(*args)
+        monkeypatch.setattr(reporting, "_escape", escape)
+        assert ours == reporting._render_chart(*args)
+        assert "&amp;amp; &gt;&gt; &lt;&lt;" in ours
 
     def test_thirty_row_files_under_ten_kb(self, tmp_path):
         rows = [
