@@ -15,6 +15,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .nn import Blocks
+
 AdjacencyMode = Literal["undirected", "directed"]
 
 
@@ -221,12 +223,14 @@ class PropGraph:
     and 0.14-0.18 s as an edge list, which holds 0.2-0.3 MB with its row
     buckets. ``ax`` is ``propagate(features)``, computed once, since the
     extractor's first layer reads it on every pass over the original view;
-    treat the arrays as read-only afterwards.
+    treat the arrays as read-only afterwards. A graph is a batch of one
+    (:class:`GraphBatch`): ``blocks`` is its one row block.
     """
 
     features: np.ndarray
     adj_norm: np.ndarray | EdgeList
     ax: np.ndarray = field(init=False, repr=False)
+    blocks: Blocks = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
@@ -235,19 +239,72 @@ class PropGraph:
                 f"adjacency {self.adj_norm.shape} does not match features {self.features.shape}"
             )
         object.__setattr__(self, "ax", self.propagate(self.features))
+        object.__setattr__(self, "blocks", Blocks((n,)))
+
+    @property
+    def num_nodes(self) -> int:
+        return int(self.features.shape[0])
+
+    def propagate(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Â @ x``: each node mixes its neighbours' rows of ``x``; written
+        into ``out`` when given."""
+        return self.adj_norm @ x if out is None else _product_into(self.adj_norm, x, out)
+
+    def propagate_back(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Â.T @ g``: the gradient at ``x`` of ``propagate(x)``, given the
+        gradient ``g`` at its output; written into ``out`` when given."""
+        return self.adj_norm.T @ g if out is None else _product_into(self.adj_norm.T, g, out)
+
+
+def _product_into(op: np.ndarray | EdgeList, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if isinstance(op, np.ndarray):
+        return np.matmul(op, x, out=out)
+    out[...] = op @ x
+    return out
+
+
+class GraphBatch:
+    """Several events' graphs as one block of rows, adapted in lockstep.
+
+    Graph k's nodes are row block k (``blocks``) of ``features`` and ``ax``.
+    Propagation runs per graph, on its block and into its block of one
+    output, with the bits that graph gives alone; a batch of one hands its
+    graph's own arrays through. ``ids`` names the events in messages.
+    """
+
+    def __init__(self, graphs: Sequence[PropGraph], ids: Sequence[str]) -> None:
+        if len(graphs) != len(ids) or not graphs:
+            raise ValueError(
+                f"a batch needs one id per graph: {len(graphs)} graphs, {len(ids)} ids"
+            )
+        self.graphs, self.ids = tuple(graphs), tuple(ids)
+        if len(graphs) == 1:
+            g = graphs[0]
+            self.features, self.ax, self.blocks = g.features, g.ax, g.blocks
+        else:
+            self.features = np.concatenate([g.features for g in graphs])
+            self.ax = np.concatenate([g.ax for g in graphs])
+            self.blocks = Blocks([g.num_nodes for g in graphs])
 
     @property
     def num_nodes(self) -> int:
         return int(self.features.shape[0])
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
-        """``Â @ x``: each node mixes its neighbours' rows of ``x``."""
-        return self.adj_norm @ x
+        """Each graph's ``propagate`` of its block of ``x``."""
+        return self._per_graph(PropGraph.propagate, x)
 
     def propagate_back(self, g: np.ndarray) -> np.ndarray:
-        """``Â.T @ g``: the gradient at ``x`` of ``propagate(x)``, given the
-        gradient ``g`` at its output."""
-        return self.adj_norm.T @ g
+        """Each graph's ``propagate_back`` of its block of ``g``."""
+        return self._per_graph(PropGraph.propagate_back, g)
+
+    def _per_graph(self, product, x: np.ndarray) -> np.ndarray:
+        if len(self.graphs) == 1:
+            return product(self.graphs[0], x)
+        out = np.empty(x.shape)
+        for graph, s in zip(self.graphs, self.blocks.rows):
+            product(graph, x[s], out[s])
+        return out
 
 
 def normalized_entries(

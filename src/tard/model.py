@@ -20,6 +20,10 @@ groups, e+m, e+s) is one contiguous slice (``TardParams.span``). Groups and
 matrices are views into the two buffers. ``objective`` computes any mix of
 the three loss terms and accumulates their gradients into the grad buffer;
 callers zero a span per step and hand it to the optimizer whole.
+
+The buffers may carry a leading axis of K events (``stack``): flat (K, P),
+each matrix (K, r, c). ``objective`` on a ``GraphBatch`` of K graphs steps
+them all at once, event k's rows against parameter row k.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import PropGraph
+from .graphs import GraphBatch, PropGraph
 from .nn import (
+    Blocks,
     Parameter,
     GcnCache,
     contrastive_loss,
@@ -49,6 +54,27 @@ GROUP_SSL = "s"
 ALL_GROUPS = (GROUP_SHARED, GROUP_MAIN, GROUP_SSL)
 
 
+#: Widest hidden layer and most GCN layers per stack a model may have. Sizes
+#: that allocate or loop need a ceiling: without one, ``d_hidden`` of 10**8
+#: ends in a numpy MemoryError and 10**8 layers never finish building. At both
+#: ceilings a model holds about 6.3M parameters (50 MB), and a lockstep batch
+#: holds one copy per event; the presets use 16 and 1.
+MAX_D_HIDDEN = 512
+MAX_LAYERS = 8
+
+LAYER_COUNTS = ("shared_layers", "main_layers", "ssl_layers")
+
+
+def check_sizes(values) -> None:
+    """Raise a ValueError naming the first of ``d_hidden`` and the layer
+    counts (attributes of ``values``) outside [1, ceiling]."""
+    for name, top in (("d_hidden", MAX_D_HIDDEN),) + tuple((n, MAX_LAYERS) for n in LAYER_COUNTS):
+        if getattr(values, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if getattr(values, name) > top:
+            raise ValueError(f"{name} must be <= {top}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
     """Architecture record: feature dim, hidden width, classes, layer counts."""
@@ -61,9 +87,9 @@ class ModelDims:
     ssl_layers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("d_in", "d_hidden", "shared_layers", "main_layers", "ssl_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.d_in < 1:
+            raise ValueError("d_in must be >= 1")
+        check_sizes(self)
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
@@ -90,7 +116,8 @@ class TardParams:
 
     ``flat`` holds every value and every gradient, laid out by ``layout``.
     Each group in ``groups`` and each matrix is a ``Parameter`` whose value
-    and grad are views into it.
+    and grad are views into it. A (K, P) ``flat`` is a stack of K parameter
+    sets, one per event of a batch: every view then has a leading axis of K.
     """
 
     dims: ModelDims
@@ -107,11 +134,15 @@ class TardParams:
     def __post_init__(self) -> None:
         self._named, self._bounds, start = {}, {}, 0
         value, grad = self.flat.value, self.flat.grad
+        lead = value.shape[:-1]
         for g, entries in layout(self.dims).items():
             first, views = start, []
             for name, shape in entries:
                 stop = start + shape[0] * shape[1]
-                p = Parameter(value[start:stop].reshape(shape), grad[start:stop].reshape(shape))
+                p = Parameter(
+                    value[..., start:stop].reshape(lead + shape),
+                    grad[..., start:stop].reshape(lead + shape),
+                )
                 views.append((name, p))
                 start = stop
             self._named[g], self._bounds[g] = views, (first, start)
@@ -131,7 +162,7 @@ class TardParams:
         lo, hi = min(a for a, _ in bounds), max(b for _, b in bounds)
         if hi - lo != sum(b - a for a, b in bounds):
             raise ValueError(f"groups {tuple(groups)} are not one contiguous span")
-        return Parameter(self.flat.value[lo:hi], self.flat.grad[lo:hi])
+        return Parameter(self.flat.value[..., lo:hi], self.flat.grad[..., lo:hi])
 
     def named_parameters(
         self, groups: Iterable[str] = ALL_GROUPS
@@ -160,7 +191,7 @@ def init_params(dims: ModelDims, seed: int | np.random.SeedSequence) -> TardPara
 
 
 def _run_stack(
-    graph: PropGraph,
+    graph: PropGraph | GraphBatch,
     ah: np.ndarray,
     layers: Sequence[Parameter],
     activations: Sequence[str],
@@ -173,13 +204,13 @@ def _run_stack(
     for i, (p, act) in enumerate(zip(layers, activations)):
         if i > 0:
             ah = graph.propagate(h)
-        h, cache = gcn_forward(ah, p.value, act)  # type: ignore[arg-type]
+        h, cache = gcn_forward(ah, p.value, act, graph.blocks.rows)  # type: ignore[arg-type]
         caches.append(cache)
     return h, caches
 
 
 def _backward_stack(
-    graph: PropGraph,
+    graph: PropGraph | GraphBatch,
     caches: Sequence[GcnCache],
     layers: Sequence[Parameter],
     grad_out: np.ndarray,
@@ -200,7 +231,7 @@ def _backward_stack(
 
 
 def forward_shared(
-    graph: PropGraph, params: TardParams
+    graph: PropGraph | GraphBatch, params: TardParams
 ) -> tuple[np.ndarray, list[GcnCache]]:
     """Node embeddings from the shared extractor (relu GCN layers)."""
     if graph.features.shape[1] != params.dims.d_in:
@@ -212,26 +243,38 @@ def forward_shared(
 
 
 def _main_head(
-    graph: PropGraph, params: TardParams, ah: np.ndarray
+    graph: PropGraph | GraphBatch, params: TardParams, ah: np.ndarray
 ) -> tuple[list[GcnCache], np.ndarray, np.ndarray]:
     """The classification head up to its logits, from the extractor output
     already propagated over the graph (``ah``). Returns its GCN caches, the
-    readout vector and the logits."""
+    readout vector and the logits; a batch of more than one, with stacked
+    ``params``, gets one row of each per event."""
     acts = ["relu"] * len(params.theta_m_gcn)
     h, caches = _run_stack(graph, ah, params.theta_m_gcn, acts)
-    g = mean_readout(h)
-    return caches, g, g @ params.theta_m_out_w.value + params.theta_m_out_b.value[0]
+    w, b = params.theta_m_out_w.value, params.theta_m_out_b.value
+    if graph.blocks.one:
+        g = mean_readout(h)
+        w, b = (w, b) if w.ndim == 2 else (w[0], b[0])
+        return caches, g, g @ w + b[0]
+    g = mean_readout(h, graph.blocks)
+    logits = np.empty((g.shape[0], params.dims.num_classes))
+    for gk, wk, out in zip(g, w, logits):
+        np.matmul(gk, wk, out=out)
+    return caches, g, np.add(logits, b[:, 0], out=logits)
 
 
-def forward_main(shared_h: np.ndarray, graph: PropGraph, params: TardParams) -> tuple:
-    """Class probabilities from the classification head, and its
-    ``_main_head`` intermediates."""
+def forward_main(
+    shared_h: np.ndarray, graph: PropGraph | GraphBatch, params: TardParams
+) -> tuple:
+    """Class probabilities from the classification head (one row per graph
+    of a batch) and its ``_main_head`` intermediates."""
     cache = _main_head(graph, params, graph.propagate(shared_h))
-    return softmax(cache[2][None, :])[0], cache
+    probs = softmax(cache[2].reshape(-1, params.dims.num_classes))
+    return (probs[0] if isinstance(graph, PropGraph) else probs), cache
 
 
 def forward_ssl(
-    shared_h: np.ndarray, graph: PropGraph, params: TardParams, perm: np.ndarray
+    shared_h: np.ndarray, graph: PropGraph | GraphBatch, params: TardParams, perm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[list[GcnCache], list[GcnCache]]]:
     """SSL-head embeddings of the original view and a feature-shuffled view.
 
@@ -239,8 +282,9 @@ def forward_ssl(
     view keeps the adjacency, permutes feature rows by ``perm`` and runs
     through the extractor here. Both views then pass each head layer side by
     side, so each layer makes one propagation product for the two. Returns
-    (h0, h1, g0, caches) where g0 is the mean readout of h0 and caches holds
-    the two-view head caches and the shuffled-view extractor caches.
+    (h0, h1, g0, caches) where g0 is the mean readout of h0 (one row per
+    event of a batch of more than one), and caches holds the two-view head caches and the
+    shuffled-view extractor caches.
     """
     acts = ["relu"] * (len(params.theta_s) - 1) + ["identity"]
     x1 = graph.features.take(perm, axis=0)
@@ -251,7 +295,7 @@ def forward_ssl(
     both, head = _run_stack(graph, ah, params.theta_s, acts)
     d = shared_h.shape[1]
     h0, h1 = both[:, :d], both[:, d:]
-    return h0, h1, mean_readout(h0), (head, shared1)
+    return h0, h1, mean_readout(h0, graph.blocks), (head, shared1)
 
 
 @dataclass
@@ -264,17 +308,18 @@ class Losses:
 
 
 def objective(
-    graph: PropGraph,
+    graph: PropGraph | GraphBatch,
     params: TardParams,
     *,
-    label: int | None = None,
+    label: int | Sequence[int] | None = None,
     perm: np.ndarray | None = None,
     stats: EmbeddingStats | None = None,
     w_s: float = 1.0,
     w_c: float = 1.0,
     grad: bool = True,
 ) -> Losses:
-    """The Y-structure objective L_m + w_s*L_s + w_c*L_c on one graph.
+    """The Y-structure objective L_m + w_s*L_s + w_c*L_c on one graph, or on
+    each graph of a batch in lockstep.
 
     A term is computed when its input is given: ``label`` for the supervised
     cross-entropy L_m, a corruption ``perm`` for the contrastive L_s, and
@@ -286,6 +331,12 @@ def objective(
     L_c reaches theta_e only and adds nothing when w_c = 0 (its value is
     still reported).
 
+    A ``GraphBatch`` of K graphs takes stacked ``params`` (one row per
+    graph) and a ``perm`` of all its rows that keeps each graph's block
+    (``Blocks.permutation``); each ``Losses`` field is then a list with one
+    value per graph. Every graph gets the values and gradient bits it gets
+    alone. L_m, a training term, takes one graph (or a batch of one).
+
     Extractor backward passes run in a fixed order: main branch, original
     view (SSL upstream plus the penalty), shuffled view. Each distinct
     propagation product is made once: the extractor's first layer reads the
@@ -294,19 +345,22 @@ def objective(
     SSL head's two-view product, and its gradient there joins the SSL head's
     one ``propagate_back`` as the leading columns.
     """
+    blocks = graph.blocks
     h, sh_caches = forward_shared(graph, params)
     d = h.shape[1]
     out = Losses()
     head = sh1_caches = None
     if perm is not None:
         h0, h1, g0, (head, sh1_caches) = forward_ssl(h, graph, params, perm)
-        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0)
+        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0, blocks)
 
     grad_main = None  # the main head's gradient at adj @ h
     if label is not None:
+        if not blocks.one:
+            raise ValueError("the supervised term L_m takes one graph at a time")
         ah = head[0].ah[:, :d] if head is not None else graph.propagate(h)
         main_caches, g, logits = _main_head(graph, params, ah)
-        out.l_m, grad_logits = softmax_cross_entropy(logits[None, :], np.array([label]))
+        out.l_m, grad_logits = softmax_cross_entropy(logits[None, :], np.array(label).reshape(1))
         if grad:
             grad_logits = grad_logits[0]
             params.theta_m_out_w.grad += g[:, None] * grad_logits
@@ -318,7 +372,7 @@ def objective(
     grad_h0 = grad_h1 = None  # upstream at the extractor output, per view
     if perm is not None and grad:
         # g0 = mean(h0), so the readout gradient, 1/N of g_g0, adds to every row.
-        g_h0 = g_h0 + g_g0 / h0.shape[0]
+        g_h0 = g_h0 + blocks.spread(g_g0 / blocks.counts)
         up = w_s * np.concatenate([g_h0, g_h1], axis=1)
         grads = _backward_stack(graph, head, params.theta_s, up)
         if grad_main is None:
@@ -330,12 +384,14 @@ def objective(
     elif grad_main is not None:
         grad_main = graph.propagate_back(grad_main)
     if stats is not None:
-        out.l_c, grad_c = constraint_loss(stats, h)
+        out.l_c, grad_c = constraint_loss(stats, h, blocks)
         if grad and w_c != 0.0:
             grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
     for g_h, caches in ((grad_main, sh_caches), (grad_h0, sh_caches), (grad_h1, sh1_caches)):
         if g_h is not None:
             _backward_stack(graph, caches, params.theta_e, g_h, input_grad=False)
+    if blocks.one and isinstance(graph, GraphBatch):  # a batch's losses are lists
+        return Losses(*(None if v is None else [v] for v in (out.l_m, out.l_s, out.l_c)))
     return out
 
 
@@ -348,15 +404,30 @@ class EmbeddingStats:
     count: int
 
 
+def _block_stats(h: np.ndarray, blocks: Blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each block's mean and population covariance, stacked (K, d) and
+    (K, d, d) unless there is one block, and the rows of ``h`` centred on
+    their block's mean."""
+    mu = mean_readout(h, blocks)
+    centered = h - blocks.spread(mu)
+    if blocks.one:
+        eta = centered.T @ centered / h.shape[0]
+    else:
+        eta = np.empty((len(blocks.rows), h.shape[1], h.shape[1]))
+        for s, out in zip(blocks.rows, eta):
+            c = centered[s]
+            np.matmul(c.T, c, out=out)
+        eta /= blocks.counts[:, :, None]
+    eta = (eta + eta.swapaxes(-1, -2)) / 2.0  # exact symmetry despite float round-off
+    return mu, eta, centered
+
+
 def embedding_stats(h: np.ndarray) -> EmbeddingStats:
     """Stats of one embedding matrix (rows = nodes). Population covariance."""
     n = h.shape[0]
     if n < 1:
         raise ValueError("need at least one node")
-    mu = mean_readout(h)
-    centered = h - mu
-    eta = centered.T @ centered / n
-    eta = (eta + eta.T) / 2.0  # exact symmetry despite float round-off
+    mu, eta, _ = _block_stats(h, Blocks((n,)))
     return EmbeddingStats(mu=mu, eta=eta, count=n)
 
 
@@ -393,7 +464,7 @@ def constraint_value(train_stats: EmbeddingStats, test_stats: EmbeddingStats) ->
 
 
 def constraint_loss(
-    train_stats: EmbeddingStats, test_h: np.ndarray
+    train_stats: EmbeddingStats, test_h: np.ndarray, blocks: Blocks | None = None
 ) -> tuple[float, np.ndarray]:
     """Alignment penalty of test-side embeddings against training stats.
 
@@ -402,21 +473,49 @@ def constraint_loss(
 
       d/dh_i = (2/N)(mu_t - mu) + (4/N)(eta_t - eta)(h_i - mu_t)
 
-    with the covariance part dropped when N = 1.
+    with the covariance part dropped when N = 1. With ``blocks`` each block
+    is one event's embeddings, and the value is a list, one per event.
     """
-    stats = embedding_stats(test_h)
-    n = stats.count
-    value = constraint_value(train_stats, stats)
-    grad = 2.0 / n * (stats.mu - train_stats.mu)[None, :]
-    if n > 1:
-        centered = test_h - stats.mu
-        grad = grad + 4.0 / n * centered @ (stats.eta - train_stats.eta)
-    return value, grad
+    if train_stats.mu.shape != test_h.shape[1:]:
+        raise ValueError(f"stats dims differ: {train_stats.mu.shape} vs {test_h.shape[1:]}")
+    if blocks is None:
+        if test_h.shape[0] < 1:
+            raise ValueError("need at least one node")
+        blocks = Blocks((test_h.shape[0],))
+    mu, eta, centered = _block_stats(test_h, blocks)
+    # The value squares train - test differences; these are their exact
+    # negations, which square to the same bits.
+    diff_mu, diff_eta = mu - train_stats.mu, eta - train_stats.eta
+    square = diff_eta * diff_eta
+    scaled = blocks.row_four_over_n * centered
+    if blocks.one:
+        n = test_h.shape[0]
+        value = float(diff_mu @ diff_mu)
+        grad = 2.0 / n * diff_mu[None, :]
+        if n > 1:
+            value += float(square.sum())
+            grad = grad + scaled @ diff_eta
+        return value, grad
+    values, cov = [], np.empty(test_h.shape)
+    for s, dm, de, sq, n in zip(blocks.rows, diff_mu, diff_eta, square, blocks.sizes):
+        values.append(float(dm @ dm))
+        if n > 1:
+            values[-1] += float(sq.sum())
+            np.matmul(scaled[s], de, out=cov[s])
+        else:
+            cov[s] = -0.0  # x + -0.0 is x: one node has no covariance part
+    return values, blocks.spread(2.0 / blocks.counts * diff_mu) + cov
 
 
 def snapshot(params: TardParams) -> TardParams:
     """Deep value copy with zeroed gradients; safe to stash and share."""
     return TardParams(params.dims, Parameter(params.flat.value.copy()))
+
+
+def stack(params: TardParams, k: int) -> TardParams:
+    """A stack of ``k`` value copies of one parameter set, with zeroed
+    gradients: the starting point of a lockstep batch of ``k`` events."""
+    return TardParams(params.dims, Parameter(np.tile(params.flat.value, (k, 1))))
 
 
 # --- serialization ----------------------------------------------------------

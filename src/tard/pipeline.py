@@ -34,16 +34,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import PropGraph, PropagationEvent, to_prop_graph
+from .graphs import EDGE_LIST_MIN_NODES, GraphBatch, PropGraph, PropagationEvent, to_prop_graph
 from .model import (
     ALL_GROUPS,
     GROUP_MAIN,
     GROUP_SHARED,
     GROUP_SSL,
+    LAYER_COUNTS,
     EmbeddingStats,
     Losses,
     ModelDims,
     TardParams,
+    check_sizes,
     compute_embedding_stats,
     forward_main,
     forward_shared,
@@ -52,6 +54,7 @@ from .model import (
     params_from_record,
     params_to_record,
     snapshot,
+    stack,
     stats_from_record,
     stats_to_record,
 )
@@ -76,7 +79,9 @@ class TrainConfig:
 
     alpha1 weights the self-supervised loss during training; alpha2 weights
     the statistics-alignment penalty during adaptation. ttt_steps = 0 turns
-    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`.
+    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`. d_hidden
+    and the layer counts are at most ``model.MAX_D_HIDDEN`` and
+    ``model.MAX_LAYERS``.
     """
 
     alpha1: float = 1.0
@@ -114,9 +119,7 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("d_hidden", "shared_layers", "main_layers", "ssl_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_sizes(self)
         if self.adjacency not in ("undirected", "directed"):
             raise ValueError("adjacency must be 'undirected' or 'directed'")
         if self.patience < 1:
@@ -141,6 +144,8 @@ class EventRecord:
 
     ls_pre/ls_post are scored with the same probe permutation so they are
     comparable; lc_* is the alignment penalty, which needs no randomness.
+    wall_time_s is the event's share of its lockstep batch: the batch's wall
+    time, from graph build to prediction, over its event count.
     """
 
     event_id: str
@@ -267,9 +272,9 @@ def with_config(model: TrainedModel, **overrides) -> TrainedModel:
 
 
 def ttt_adapt(
-    graph: PropGraph,
+    graph: PropGraph | GraphBatch,
     model: TrainedModel,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     params: TardParams,
 ) -> tuple[TardParams, tuple[Losses, Losses]]:
     """Per-sample test-time training: ttt_steps Adam steps on L_s + alpha2*L_c.
@@ -280,10 +285,21 @@ def ttt_adapt(
     used to score L_s before and after; each step then draws its own
     corruption. Returns the adapted parameters and the (pre, post) probe
     losses.
+
+    A ``GraphBatch`` of K events, with one generator per event, adapts them
+    in lockstep: one loop of steps over K stacked copies of ``params``, each
+    event drawing from its own generator and getting the bits it gets alone
+    (see ``objective``). The adapted parameters are then that (K, P) stack
+    (one set for a batch of one) and each loss a list. A step that goes
+    non-finite raises FloatingPointError naming the first group that did,
+    and in a batch the first event.
     """
     cfg = model.config
-    work = snapshot(params)
-    probe_perm = rng.permutation(graph.num_nodes)
+    blocks = graph.blocks
+    lone = isinstance(graph, PropGraph)
+    rngs = (rng,) if lone else rng
+    work = snapshot(params) if len(rngs) == 1 else stack(params, len(rngs))
+    probe_perm = blocks.permutation(rngs)
     stats = model.train_stats
     pre = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
 
@@ -291,23 +307,31 @@ def ttt_adapt(
     span = work.span(adapted)
     opt = AdamState(lr=cfg.ttt_lr)
     for _ in range(cfg.ttt_steps):
-        perm = rng.permutation(graph.num_nodes)
+        perm = blocks.permutation(rngs)
         span.grad.fill(0.0)
         objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
         adam_step(span, opt)
         if not np.isfinite(span.value).all():
+            rows = span.value.reshape(len(rngs), -1)
+            k = int(np.argmin(np.isfinite(rows).all(axis=1)))  # the first event that did
+            where = "" if lone else f" of event {graph.ids[k]!r}"
             for g in adapted:  # name the first group that went non-finite
-                assert_all_finite(f"theta_{g}", work.groups[g].value)
+                value = work.groups[g].value.reshape(len(rngs), -1)[k]
+                assert_all_finite(f"theta_{g}{where}", value)
 
     post = objective(graph, work, perm=probe_perm, stats=stats, grad=False)
     return work, (pre, post)
 
 
-def predict(graph: PropGraph, params: TardParams) -> tuple[int, np.ndarray]:
-    """Class index (ties break toward the lower index) and probability vector."""
+def predict(graph: PropGraph | GraphBatch, params: TardParams) -> tuple:
+    """Class index (ties break toward the lower index) and probability
+    vector; for a batch and stacked ``params``, a list of indices and one
+    row of probabilities per event."""
     shared_h, _ = forward_shared(graph, params)
     probs, _ = forward_main(shared_h, graph, params)
-    return int(np.argmax(probs)), probs
+    if isinstance(graph, PropGraph):
+        return int(np.argmax(probs)), probs
+    return [int(np.argmax(p)) for p in probs], probs
 
 
 def event_rng(seed: int, event_id: str) -> np.random.Generator:
@@ -332,28 +356,73 @@ def _check_model_compat(events: Sequence[PropagationEvent], model: TrainedModel)
             )
 
 
-def _eval_one(
-    event: PropagationEvent, model: TrainedModel, params: TardParams
-) -> tuple[EventRecord, TardParams]:
+def _eval_batch(
+    events: Sequence[PropagationEvent], model: TrainedModel, params: TardParams
+) -> tuple[list[EventRecord], TardParams]:
+    """Adapt ``events`` in lockstep from ``params`` and predict each; returns
+    their records and the adapted parameters (``ttt_adapt``). Each record's
+    wall time is the batch's wall time over its event count."""
     start = time.perf_counter()
-    graph = to_prop_graph(event, mode=model.config.adjacency)
-    rng = event_rng(model.config.seed, event.id)
-    adapted, (pre, post) = ttt_adapt(graph, model, rng, params)
-    pred, probs = predict(graph, adapted)
-    wall = time.perf_counter() - start
-    record = EventRecord(
-        event_id=event.id,
-        label=event.label,
-        pred=pred,
-        probs=tuple(float(p) for p in probs),
-        ls_pre=pre.l_s,
-        ls_post=post.l_s,
-        lc_pre=pre.l_c,
-        lc_post=post.l_c,
-        steps=model.config.ttt_steps,
-        wall_time_s=wall,
-    )
-    return record, adapted
+    graphs = [to_prop_graph(event, mode=model.config.adjacency) for event in events]
+    batch = GraphBatch(graphs, [event.id for event in events])
+    rngs = [event_rng(model.config.seed, event.id) for event in events]
+    adapted, (pre, post) = ttt_adapt(batch, model, rngs, params)
+    preds, probs = predict(batch, adapted)
+    wall = (time.perf_counter() - start) / len(events)
+    records = [
+        EventRecord(
+            event_id=event.id,
+            label=event.label,
+            pred=preds[k],
+            probs=tuple(float(p) for p in probs[k]),
+            ls_pre=pre.l_s[k],
+            ls_post=post.l_s[k],
+            lc_pre=pre.l_c[k],
+            lc_post=post.l_c[k],
+            steps=model.config.ttt_steps,
+            wall_time_s=wall,
+        )
+        for k, event in enumerate(events)
+    ]
+    return records, adapted
+
+
+#: Rows, the node counts of its events summed, at which a lockstep batch of
+#: an episodic ``evaluate`` closes. Measured on a 2-vCPU VM, in one process on
+#: one CPU (the 100 shift-mid test events of seed 0, 30 steps each, best of
+#: 5): batches closed at 100, 200, 300, 400, 600, 800 and 1200 rows took 421,
+#: 351, 324, 317, 302, 296 and 297 ms, and the events one at a time about
+#: 500 ms. The gain levels off from about 600 rows (12 shift-mid events), and
+#: smaller batches leave a pool more to balance.
+LOCKSTEP_ROWS = 600
+
+#: Fewest batches ``lockstep_batches`` leaves each worker, where the events
+#: allow, so that the pool's dynamic hand-out still balances the workers.
+BATCHES_PER_WORKER = 4
+
+
+def lockstep_batches(sizes: Sequence[int], workers: int) -> list[list[int]]:
+    """Event indices, largest event first (ties in input order), cut into
+    consecutive batches to adapt in lockstep.
+
+    A batch closes once its rows reach :data:`LOCKSTEP_ROWS`, or a share of
+    all rows small enough to leave each of ``workers`` at least
+    :data:`BATCHES_PER_WORKER` batches. An event of
+    :data:`~tard.graphs.EDGE_LIST_MIN_NODES` nodes or more, whose products
+    outweigh the calls that make them, goes alone.
+    """
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    budget = min(LOCKSTEP_ROWS, sum(sizes) / (workers * BATCHES_PER_WORKER))
+    batches: list[list[int]] = []
+    rows = budget
+    for i in order:
+        alone = sizes[i] >= EDGE_LIST_MIN_NODES
+        if rows >= budget or alone:
+            batches.append([])
+            rows = 0
+        batches[-1].append(i)
+        rows += budget if alone else sizes[i]
+    return batches
 
 
 def _usable_cpus() -> int:
@@ -409,28 +478,29 @@ def evaluate(test_set: Sequence[PropagationEvent], model: TrainedModel) -> list[
     event's randomness comes from (config seed, event id), so records are a
     pure function of (model, event): reordering or splitting the test set
     cannot change any record. Episodic events that adapt therefore go
-    through ``fork_map``, and the records are identical for any worker
-    count. They go to the pool largest first, since ``fork_map`` hands them
-    out in the order given and the largest would otherwise start last, and
-    the records come back in input order. Online mode carries the adapted
-    parameters over to the next event; it is order-sensitive by design,
-    runs serially, and a single-event stream matches episodic mode exactly.
+    through ``fork_map`` in lockstep batches (``lockstep_batches``), and the
+    records are identical for any worker count or batch cut. The batches go
+    to the pool largest first, since ``fork_map`` hands them out in the
+    order given and the largest would otherwise start last, and the records
+    come back in input order. Online mode carries the adapted parameters
+    over to the next event; it is order-sensitive by design, runs serially,
+    and a single-event stream matches episodic mode exactly.
     """
     if not test_set:
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
     if model.config.adaptation_mode == EPISODIC and model.config.ttt_steps > 0:
-        # A stable sort: events of one size keep their input order.
-        order = sorted(range(len(test_set)), key=lambda i: -test_set[i].num_nodes)
+        batches = lockstep_batches([e.num_nodes for e in test_set], _usable_cpus())
         done = fork_map(
-            lambda event: _eval_one(event, model, model.params)[0], [test_set[i] for i in order]
+            lambda events: _eval_batch(events, model, model.params)[0],
+            [[test_set[i] for i in batch] for batch in batches],
         )
-        by_index = dict(zip(order, done))
+        by_index = {i: r for batch, recs in zip(batches, done) for i, r in zip(batch, recs)}
         return [by_index[i] for i in range(len(test_set))]
     records: list[EventRecord] = []
     running = model.params
     for event in test_set:
-        record, adapted = _eval_one(event, model, running)
+        (record,), adapted = _eval_batch([event], model, running)
         records.append(record)
         if model.config.adaptation_mode == ONLINE:
             running = adapted
@@ -493,7 +563,7 @@ def _check_file_values(
 def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
     """``(name, value, dims value)`` of the first architecture field that
     ``values`` gives and ``dims`` contradicts; None when they agree."""
-    for name in ("d_hidden", "shared_layers", "main_layers", "ssl_layers"):
+    for name in ("d_hidden",) + LAYER_COUNTS:
         have = getattr(dims, name)
         if name in values and values[name] != have:
             return name, values[name], have
@@ -559,6 +629,14 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     _check_record(source, "", rec, _CHECKPOINT_RECORD)
     for name, matrix in rec["params"]["matrices"].items():
         _check_record(source, f"params.matrices.{name}", matrix, _MATRIX_RECORD)
+    # Counted first, from the layer counts as written: the matrices a count
+    # asks for must be there, however large it is.
+    have = len(rec["params"]["matrices"])
+    need = sum(rec["params"]["dims"][name] for name in LAYER_COUNTS) + 2
+    if have < need:
+        raise ValueError(
+            f"{source}: 'params.matrices' has {have} matrices, but 'params.dims' gives {need}"
+        )
     config = _check_file_values(source, "config.", TrainConfig, {}, rec["config"])
     # Each value is tried alone over the smallest dims, so the one at fault is named.
     smallest = asdict(ModelDims(d_in=1, d_hidden=1))
@@ -567,14 +645,6 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     if bad is not None:
         name, value, have = bad
         raise ValueError(f"{source}: 'config.{name}' is {value}, but 'params.dims' gives {have}")
-    # Counted before ``layout`` lists every layer, which for a huge layer
-    # count would exhaust memory.
-    have = len(rec["params"]["matrices"])
-    need = dims.shared_layers + dims.main_layers + dims.ssl_layers + 2
-    if have < need:
-        raise ValueError(
-            f"{source}: 'params.matrices' has {have} matrices, but 'params.dims' gives {need}"
-        )
     mu = rec["train_stats"]["mu"]
     if len(mu) != dims.d_hidden:
         raise ValueError(

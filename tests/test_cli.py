@@ -10,7 +10,10 @@ from conftest import parse_report_csv
 from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
 from tard.graphs import to_prop_graph
+from tard.model import LAYER_COUNTS, MAX_D_HIDDEN, MAX_LAYERS
 from tard.pipeline import MAX_TTT_STEPS, load_checkpoint, predict
+
+SIZE_CEILINGS = [("d_hidden", MAX_D_HIDDEN)] + [(name, MAX_LAYERS) for name in LAYER_COUNTS]
 
 TINY_CONFIG = {
     "seed": 0,
@@ -139,6 +142,16 @@ class TestGen:
                     id=f"{command}-cross-section",
                 )
                 for command in ("gen", "train", "ablate", "sweep", "eval")
+            ),
+            *(
+                pytest.param(
+                    command,
+                    {"train": {name: 10**8}},
+                    ["bad.json", f"'train.{name}' is out of range: {name} must be <= {top}"],
+                    id=f"{command}-{name}-ceiling",
+                )
+                for command in ("train", "eval")
+                for name, top in SIZE_CEILINGS
             ),
             *(
                 pytest.param(command, payload, ["bad.json", *keys], id=f"{command}-{case}")
@@ -485,6 +498,17 @@ class TestEval:
                 "'train_stats.mu' has 3 entries, but 'params.dims' gives d_hidden 4",
             ),
             (_skew_eta, "'train_stats.eta' is not symmetric"),
+            *(
+                (
+                    lambda rec, name=name: rec["config"].update({name: 10**8}),
+                    f"'config.{name}' is out of range: {name} must be <= {top}",
+                )
+                for name, top in SIZE_CEILINGS
+            ),
+            (
+                lambda rec: rec["params"]["dims"].update(d_hidden=10**8),
+                f"'params.dims.d_hidden' is out of range: d_hidden must be <= {MAX_D_HIDDEN}",
+            ),
         ],
         ids=[
             "config-key",
@@ -509,6 +533,9 @@ class TestEval:
             "dims-type",
             "mu-short",
             "eta-asymmetric",
+            "config-d_hidden-ceiling",
+            *(f"config-{name}-ceiling" for name in LAYER_COUNTS),
+            "dims-d_hidden-ceiling",
         ],
     )
     def test_malformed_checkpoint_exits_2_naming_it(

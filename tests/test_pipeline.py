@@ -19,15 +19,20 @@ from conftest import make_random_event, separable
 import tard
 from tard.datagen import ShiftSpec, apply_shift, generate_domain
 from tard import graphs, pipeline
-from tard.graphs import to_prop_graph
+from tard.graphs import GraphBatch, to_prop_graph
 from tard.model import (
     GROUP_MAIN,
     GROUP_SHARED,
     GROUP_SSL,
+    LAYER_COUNTS,
+    MAX_D_HIDDEN,
+    MAX_LAYERS,
     ModelDims,
     group_bytes,
     init_params,
     objective,
+    snapshot,
+    stack,
 )
 from tard.nn import AdamState, adam_step
 from tard.pipeline import (
@@ -38,6 +43,7 @@ from tard.pipeline import (
     evaluate,
     event_rng,
     load_checkpoint,
+    lockstep_batches,
     predict,
     save_checkpoint,
     train_phase,
@@ -45,6 +51,9 @@ from tard.pipeline import (
     ttt_adapt,
     with_config,
 )
+
+
+SIZE_CEILINGS = [("d_hidden", MAX_D_HIDDEN), *((name, MAX_LAYERS) for name in LAYER_COUNTS)]
 
 
 def _events(n=8, nodes=6, dim=4, seed=0):
@@ -101,6 +110,16 @@ class TestTrainConfig:
     def test_rejects_negative_ttt_steps(self):
         with pytest.raises(ValueError):
             TrainConfig(ttt_steps=-1)
+
+    @pytest.mark.parametrize("name, top", SIZE_CEILINGS)
+    def test_rejects_sizes_above_their_ceiling(self, name, top):
+        assert getattr(TrainConfig(**{name: top}), name) == top
+        assert getattr(ModelDims(**{"d_in": 1, "d_hidden": 1, name: top}), name) == top
+        for bad in (top + 1, 10**8, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must be <= {top}$"):
+                TrainConfig(**{name: bad})
+            with pytest.raises(ValueError, match=f"^{name} must be <= {top}$"):
+                ModelDims(**{"d_in": 1, "d_hidden": 1, name: bad})
 
     def test_rejects_ttt_steps_above_the_ceiling(self):
         assert TrainConfig(ttt_steps=MAX_TTT_STEPS).ttt_steps == MAX_TTT_STEPS
@@ -304,9 +323,11 @@ class TestEpisodicEvaluation:
         assert by_workers[1] == by_workers[2] == _strip_wall(alone)
 
     def test_pool_gets_the_largest_event_first(self, separable_model, monkeypatch, pools):
-        """Episodic events reach the pool in non-increasing size, with ties in
-        input order, and their records come back in input order, equal to the
-        one-CPU run's."""
+        """Episodic events reach the pool in lockstep batches of consecutive
+        events in non-increasing size, with ties in input order, and their
+        records come back in input order, equal to the one-CPU run's. With
+        2 workers and 33 rows, the default leaves each event alone; one
+        batch per worker closes a batch at 16.5 rows."""
         model, _ = separable_model
         rng = np.random.default_rng(15)
         events = [
@@ -319,16 +340,22 @@ class TestEpisodicEvaluation:
         fork_map = pipeline.fork_map
 
         def spy(fn, items):
-            handed.append([(e.num_nodes, e.id) for e in items])
+            handed.append([[(e.num_nodes, e.id) for e in batch] for batch in items])
             return fork_map(fn, items)
 
         monkeypatch.setattr(pipeline, "fork_map", spy)
         _cpus(monkeypatch, 2)
-        got = evaluate(events, model)
-        assert handed == [[(12, "s-4"), (8, "s-3"), (5, "s-1"), (5, "s-2"), (3, "s-0")]]
-        assert [r.event_id for r in got] == [e.id for e in events]
-        assert _strip_wall(got) == serial
-        assert pools == ["fork"]
+        for per_worker in (pipeline.BATCHES_PER_WORKER, 1):
+            monkeypatch.setattr(pipeline, "BATCHES_PER_WORKER", per_worker)
+            got = evaluate(events, model)
+            assert [r.event_id for r in got] == [e.id for e in events]
+            assert _strip_wall(got) == serial
+        assert [[len(b) for b in batches] for batches in handed] == [[1, 1, 1, 1, 1], [2, 3]]
+        for batches in handed:
+            assert [e for b in batches for e in b] == [
+                (12, "s-4"), (8, "s-3"), (5, "s-1"), (5, "s-2"), (3, "s-0")
+            ]
+        assert pools == ["fork", "fork"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_event_error_reaches_the_caller(
@@ -341,7 +368,7 @@ class TestEpisodicEvaluation:
         events = _events(n=4, dim=4, seed=7)
         events[2] = replace(events[2], features=events[2].features * 1e150)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FloatingPointError, match=r"^non-finite values in theta_e$"
+            FloatingPointError, match=r"^non-finite values in theta_e of event 'u-2'$"
         ):
             evaluate(events, model)
         assert pools == (["fork"] if cpus == 2 else [])
@@ -518,6 +545,100 @@ class TestEdgeListThreshold:
         )
 
 
+@pytest.fixture(scope="module", params=["undirected", "directed"])
+def deep_model(request):
+    """A model with two-layer extractor and SSL head, briefly trained, per
+    adjacency mode."""
+    exp = separable(3)
+    config = TrainConfig(
+        seed=3, epochs=2, d_hidden=8, shared_layers=2, ssl_layers=2, ttt_steps=3,
+        adjacency=request.param,
+    )
+    return train_phase(generate_domain(exp.domain), config)
+
+
+def _alone(event, model):
+    """One event adapted and predicted on its own: the record's fields but
+    wall time, and the adapted parameters' bytes."""
+    graph = to_prop_graph(event, model.config.adjacency)
+    rng = event_rng(model.config.seed, event.id)
+    adapted, (pre, post) = ttt_adapt(graph, model, rng, model.params)
+    pred, probs = predict(graph, adapted)
+    fields = (pred, tuple(float(p) for p in probs), pre.l_s, post.l_s, pre.l_c, post.l_c)
+    return fields, adapted.flat.value.tobytes()
+
+
+class TestLockstep:
+    """A batch adapts in lockstep with every event's bits unchanged."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [9],
+            [graphs.EDGE_LIST_MIN_NODES + 5, 6],
+            [1, graphs.EDGE_LIST_MIN_NODES + 10, 3, 12, 1, 7, 30],
+        ],
+        ids=["K1", "K2", "K7"],
+    )
+    def test_batch_equals_one_at_a_time(self, deep_model, sizes):
+        rng = np.random.default_rng(len(sizes))
+        events = [
+            make_random_event(rng, n, 4, event_id=f"b-{i}", label=i % 2)
+            for i, n in enumerate(sizes)
+        ]
+        records, adapted = pipeline._eval_batch(events, deep_model, deep_model.params)
+        stacked = adapted.flat.value.reshape(len(events), -1)
+        for k, (event, record) in enumerate(zip(events, records)):
+            fields, params = _alone(event, deep_model)
+            got = (record.pred, record.probs, record.ls_pre, record.ls_post)
+            assert got + (record.lc_pre, record.lc_post) == fields, event.id
+            assert stacked[k].tobytes() == params, event.id
+            assert record.event_id == event.id and record.steps == 3
+
+    def test_objective_matches_each_graph(self, deep_model):
+        """The objective on a batch, with its own weights: each graph's
+        losses and gradient bytes are those of the graph alone."""
+        rng = np.random.default_rng(4)
+        events = [
+            make_random_event(rng, n, 4, event_id=f"o-{i}", label=i % 2)
+            for i, n in enumerate([5, 1, graphs.EDGE_LIST_MIN_NODES, 11])
+        ]
+        mode, stats = deep_model.config.adjacency, deep_model.train_stats
+        alone = [to_prop_graph(e, mode) for e in events]
+        batch = GraphBatch(alone, [e.id for e in events])
+        params = stack(deep_model.params, len(events))
+        rngs = [np.random.default_rng(k) for k in range(len(events))]
+        perm = batch.blocks.permutation(rngs)
+        out = objective(batch, params, perm=perm, stats=stats, w_s=0.5, w_c=0.3)
+        for k, graph in enumerate(alone):
+            one = snapshot(deep_model.params)
+            perm = np.random.default_rng(k).permutation(graph.num_nodes)
+            ref = objective(graph, one, perm=perm, stats=stats, w_s=0.5, w_c=0.3)
+            assert (out.l_s[k], out.l_c[k]) == (ref.l_s, ref.l_c)
+            assert params.flat.grad[k].tobytes() == one.flat.grad.tobytes()
+        with pytest.raises(ValueError, match="L_m takes one graph"):
+            objective(batch, params, label=[e.label for e in events])
+
+    def test_non_finite_event_is_named(self, separable_model):
+        model, _ = separable_model
+        events = _events(n=5, dim=4, seed=7)
+        events[3] = replace(events[3], features=events[3].features * 1e150)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"^non-finite values in theta_e of event 'u-3'$"
+        ):
+            pipeline._eval_batch(events, model, model.params)
+
+    def test_batches_close_at_the_row_budget(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "LOCKSTEP_ROWS", 20)
+        big = graphs.EDGE_LIST_MIN_NODES
+        sizes = [5, big + 50, 8, 8, big, 12, 3, 1]
+        # Edge-list events alone, then 12+8 reaches 20; 8+5+3+1 does not.
+        assert lockstep_batches(sizes, 1) == [[1], [4], [5, 2], [3, 0, 6, 7]]
+        # 80 rows: each of 1 worker gets 4 batches of 20, each of 2 gets 4 of 10.
+        assert lockstep_batches([10] * 8, 1) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        assert lockstep_batches([10] * 8, 2) == [[i] for i in range(8)]
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
 def test_large_cascade_steps_reuse_freed_heap_pages(separable_model):
     """A large cascade's N x 16 temporaries stay in the heap when freed, so
@@ -555,6 +676,14 @@ def test_import_loads_no_network_or_xml_modules():
         and m not in ("urllib", "urllib.parse")
     ]
     assert loaded == []
+
+
+def _deepen(rec: dict, name: str, value: int) -> None:
+    """Give ``params.dims`` ``value`` for ``name``, with enough (dummy)
+    matrices that the layer count is not what fails first."""
+    rec["params"]["dims"][name] = value
+    for i in range(value):
+        rec["params"]["matrices"][f"extra.{i}"] = {"shape": [1, 1], "data": [0.0]}
 
 
 def _skew_eta(rec: dict) -> None:
@@ -746,6 +875,20 @@ class TestCheckpoints:
                 lambda rec: rec["config"].update(ttt_steps=10**400),
                 f"'config.ttt_steps' is out of range: ttt_steps must be <= {MAX_TTT_STEPS}",
             ),
+            *(
+                (
+                    lambda rec, name=name: rec["config"].update({name: 10**8}),
+                    f"'config.{name}' is out of range: {name} must be <= {top}",
+                )
+                for name, top in SIZE_CEILINGS
+            ),
+            *(
+                (
+                    lambda rec, name=name, top=top: _deepen(rec, name, top + 1),
+                    f"'params.dims.{name}' is out of range: {name} must be <= {top}",
+                )
+                for name, top in SIZE_CEILINGS
+            ),
         ],
         ids=[
             "config-missing-ttt_lr",
@@ -766,6 +909,8 @@ class TestCheckpoints:
             "dims-type",
             "dims-range",
             "config-ttt-steps-ceiling",
+            *(f"config-{name}-ceiling" for name, _ in SIZE_CEILINGS),
+            *(f"dims-{name}-ceiling" for name, _ in SIZE_CEILINGS),
         ],
     )
     def test_rejects_a_bad_leaf_naming_its_key(self, separable_model, tmp_path, corrupt, named):
