@@ -455,10 +455,16 @@ def constraint_value(train_stats: EmbeddingStats, test_stats: EmbeddingStats) ->
         raise ValueError(
             f"stats dims differ: {train_stats.mu.shape} vs {test_stats.mu.shape}"
         )
-    diff_mu = train_stats.mu - test_stats.mu
+    return _penalty(
+        train_stats.mu - test_stats.mu, train_stats.eta - test_stats.eta, test_stats.count
+    )
+
+
+def _penalty(diff_mu: np.ndarray, diff_eta: np.ndarray, count: int) -> float:
+    """``constraint_value`` from one side's mean and covariance differences
+    to the other's, taken either way round: both square to the same bits."""
     value = float(diff_mu @ diff_mu)
-    if test_stats.count > 1:
-        diff_eta = train_stats.eta - test_stats.eta
+    if count > 1:
         value += float((diff_eta * diff_eta).sum())
     return value
 
@@ -483,24 +489,18 @@ def constraint_loss(
             raise ValueError("need at least one node")
         blocks = Blocks((test_h.shape[0],))
     mu, eta, centered = _block_stats(test_h, blocks)
-    # The value squares train - test differences; these are their exact
-    # negations, which square to the same bits.
     diff_mu, diff_eta = mu - train_stats.mu, eta - train_stats.eta
-    square = diff_eta * diff_eta
     scaled = blocks.row_four_over_n * centered
     if blocks.one:
         n = test_h.shape[0]
-        value = float(diff_mu @ diff_mu)
         grad = 2.0 / n * diff_mu[None, :]
         if n > 1:
-            value += float(square.sum())
             grad = grad + scaled @ diff_eta
-        return value, grad
+        return _penalty(diff_mu, diff_eta, n), grad
     values, cov = [], np.empty(test_h.shape)
-    for s, dm, de, sq, n in zip(blocks.rows, diff_mu, diff_eta, square, blocks.sizes):
-        values.append(float(dm @ dm))
+    for s, dm, de, n in zip(blocks.rows, diff_mu, diff_eta, blocks.sizes):
+        values.append(_penalty(dm, de, n))
         if n > 1:
-            values[-1] += float(sq.sum())
             np.matmul(scaled[s], de, out=cov[s])
         else:
             cov[s] = -0.0  # x + -0.0 is x: one node has no covariance part

@@ -392,36 +392,32 @@ def _eval_batch(
 #: one CPU (the 100 shift-mid test events of seed 0, 30 steps each, best of
 #: 5): batches closed at 100, 200, 300, 400, 600, 800 and 1200 rows took 421,
 #: 351, 324, 317, 302, 296 and 297 ms, and the events one at a time about
-#: 500 ms. The gain levels off from about 600 rows (12 shift-mid events), and
-#: smaller batches leave a pool more to balance.
+#: 500 ms. The gain levels off from about 600 rows (12 shift-mid events).
+#: Cutting a small test set finer, so that each of 2 workers gets 1, 2, 4 or
+#: 8 batches, was no faster pooled than this budget alone on 12-100 events;
+#: 4 and 8 per worker were slower on 12 and 24 events (``BENCH_lockstep.json``,
+#: ``batches_per_worker``). The cut therefore ignores the worker count.
 LOCKSTEP_ROWS = 600
 
-#: Fewest batches ``lockstep_batches`` leaves each worker, where the events
-#: allow, so that the pool's dynamic hand-out still balances the workers.
-BATCHES_PER_WORKER = 4
 
-
-def lockstep_batches(sizes: Sequence[int], workers: int) -> list[list[int]]:
+def lockstep_batches(sizes: Sequence[int]) -> list[list[int]]:
     """Event indices, largest event first (ties in input order), cut into
     consecutive batches to adapt in lockstep.
 
-    A batch closes once its rows reach :data:`LOCKSTEP_ROWS`, or a share of
-    all rows small enough to leave each of ``workers`` at least
-    :data:`BATCHES_PER_WORKER` batches. An event of
+    A batch closes once its rows reach :data:`LOCKSTEP_ROWS`. An event of
     :data:`~tard.graphs.EDGE_LIST_MIN_NODES` nodes or more, whose products
     outweigh the calls that make them, goes alone.
     """
     order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    budget = min(LOCKSTEP_ROWS, sum(sizes) / (workers * BATCHES_PER_WORKER))
     batches: list[list[int]] = []
-    rows = budget
+    rows = LOCKSTEP_ROWS
     for i in order:
         alone = sizes[i] >= EDGE_LIST_MIN_NODES
-        if rows >= budget or alone:
+        if rows >= LOCKSTEP_ROWS or alone:
             batches.append([])
             rows = 0
         batches[-1].append(i)
-        rows += budget if alone else sizes[i]
+        rows += LOCKSTEP_ROWS if alone else sizes[i]
     return batches
 
 
@@ -490,7 +486,7 @@ def evaluate(test_set: Sequence[PropagationEvent], model: TrainedModel) -> list[
         raise ValueError("empty test set")
     _check_model_compat(test_set, model)
     if model.config.adaptation_mode == EPISODIC and model.config.ttt_steps > 0:
-        batches = lockstep_batches([e.num_nodes for e in test_set], _usable_cpus())
+        batches = lockstep_batches([e.num_nodes for e in test_set])
         done = fork_map(
             lambda events: _eval_batch(events, model, model.params)[0],
             [[test_set[i] for i in batch] for batch in batches],

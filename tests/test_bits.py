@@ -27,7 +27,6 @@ from conftest import make_random_event
 from tard.graphs import EDGE_LIST_MIN_NODES
 from tard.pipeline import (
     TrainConfig,
-    _usable_cpus,
     checkpoint_record,
     evaluate,
     lockstep_batches,
@@ -88,7 +87,7 @@ def records_digest() -> str:
 def test_records_match_the_pinned_bits():
     # The episodic run adapts its small events in batches of several.
     sizes = [e.num_nodes for e in _inputs()[1]]
-    assert max(len(batch) for batch in lockstep_batches(sizes, _usable_cpus())) > 1
+    assert max(len(batch) for batch in lockstep_batches(sizes)) > 1
     key = (np.__version__, openblas_core())
     if key not in RECORDS_SHA256:
         pytest.skip(f"no pinned records digest for numpy {key[0]} with OpenBLAS core {key[1]}")

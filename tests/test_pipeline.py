@@ -311,9 +311,10 @@ class TestEpisodicEvaluation:
     def test_single_event_calls_match_batch(self, separable_model, monkeypatch, pools):
         """Each record is a pure function of (model, event, seed): evaluating
         every event on its own reproduces the batch call, from one worker
-        process or two."""
+        process or two, in lockstep batches of two events."""
         model, _ = separable_model
         events = _events(n=5, dim=4, seed=6)
+        monkeypatch.setattr(pipeline, "LOCKSTEP_ROWS", 2 * events[0].num_nodes)
         alone = [evaluate([e], model)[0] for e in events]
         by_workers = {}
         for n in (1, 2):
@@ -325,9 +326,10 @@ class TestEpisodicEvaluation:
     def test_pool_gets_the_largest_event_first(self, separable_model, monkeypatch, pools):
         """Episodic events reach the pool in lockstep batches of consecutive
         events in non-increasing size, with ties in input order, and their
-        records come back in input order, equal to the one-CPU run's. With
-        2 workers and 33 rows, the default leaves each event alone; one
-        batch per worker closes a batch at 16.5 rows."""
+        records come back in input order, equal to the one-CPU run's. The
+        cut depends on the sizes and ``LOCKSTEP_ROWS`` alone, not on the CPU
+        count, so an evaluate that ``fork_map`` runs serially (one CPU, or
+        nested in a worker) gets the batches of a pooled one."""
         model, _ = separable_model
         rng = np.random.default_rng(15)
         events = [
@@ -344,28 +346,32 @@ class TestEpisodicEvaluation:
             return fork_map(fn, items)
 
         monkeypatch.setattr(pipeline, "fork_map", spy)
-        _cpus(monkeypatch, 2)
-        for per_worker in (pipeline.BATCHES_PER_WORKER, 1):
-            monkeypatch.setattr(pipeline, "BATCHES_PER_WORKER", per_worker)
+        for rows, cpus in ((1, 2), (16, 2), (16, 1), (16, 8)):
+            monkeypatch.setattr(pipeline, "LOCKSTEP_ROWS", rows)
+            _cpus(monkeypatch, cpus)
             got = evaluate(events, model)
             assert [r.event_id for r in got] == [e.id for e in events]
             assert _strip_wall(got) == serial
-        assert [[len(b) for b in batches] for batches in handed] == [[1, 1, 1, 1, 1], [2, 3]]
+        assert [[len(b) for b in batches] for batches in handed] == [
+            [1, 1, 1, 1, 1], [2, 3], [2, 3], [2, 3]
+        ]
         for batches in handed:
             assert [e for b in batches for e in b] == [
                 (12, "s-4"), (8, "s-3"), (5, "s-1"), (5, "s-2"), (3, "s-0")
             ]
-        assert pools == ["fork", "fork"]
+        assert pools == ["fork", "fork", "fork"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_event_error_reaches_the_caller(
         self, separable_model, monkeypatch, pools, cpus
     ):
         """A worker's exception is re-raised with its type and message, and
-        no worker process outlives the call."""
+        no worker process outlives the call. The bad event shares its
+        lockstep batch with another."""
         model, _ = separable_model
         _cpus(monkeypatch, cpus)
         events = _events(n=4, dim=4, seed=7)
+        monkeypatch.setattr(pipeline, "LOCKSTEP_ROWS", 2 * events[0].num_nodes)
         events[2] = replace(events[2], features=events[2].features * 1e150)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FloatingPointError, match=r"^non-finite values in theta_e of event 'u-2'$"
@@ -633,10 +639,8 @@ class TestLockstep:
         big = graphs.EDGE_LIST_MIN_NODES
         sizes = [5, big + 50, 8, 8, big, 12, 3, 1]
         # Edge-list events alone, then 12+8 reaches 20; 8+5+3+1 does not.
-        assert lockstep_batches(sizes, 1) == [[1], [4], [5, 2], [3, 0, 6, 7]]
-        # 80 rows: each of 1 worker gets 4 batches of 20, each of 2 gets 4 of 10.
-        assert lockstep_batches([10] * 8, 1) == [[0, 1], [2, 3], [4, 5], [6, 7]]
-        assert lockstep_batches([10] * 8, 2) == [[i] for i in range(8)]
+        assert lockstep_batches(sizes) == [[1], [4], [5, 2], [3, 0, 6, 7]]
+        assert lockstep_batches([10] * 8) == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
