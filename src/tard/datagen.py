@@ -134,7 +134,12 @@ def derive_target_seed(seed: int) -> int:
     return derive_split_seed(seed, "shift")
 
 
-def _generate_event(spec: DomainSpec, event_id: str, ss: np.random.SeedSequence) -> PropagationEvent:
+def _generate_event(
+    spec: DomainSpec,
+    means: tuple[np.ndarray, np.ndarray],
+    event_id: str,
+    ss: np.random.SeedSequence,
+) -> PropagationEvent:
     rng = np.random.default_rng(ss)
     label = int(rng.random() < spec.class_balance)
     lo, hi = spec.size_dist
@@ -142,16 +147,14 @@ def _generate_event(spec: DomainSpec, event_id: str, ss: np.random.SeedSequence)
 
     # Attachment rule: with probability b_eff the new node replies to the
     # root (star-like), otherwise to the latest node (chain-like). The class
-    # tilts b_eff so tree shape carries label information.
+    # tilts b_eff so tree shape carries label information. Node k's coin is
+    # draw k - 1 of one call: the values n - 1 scalar draws give, in order.
     b_eff = spec.branching_bias + (label - 0.5) * spec.structure_signal_strength
     b_eff = min(1.0, max(0.0, b_eff))
-    edges = []
-    for k in range(1, n):
-        parent = 0 if rng.random() < b_eff else k - 1
-        edges.append((parent, k))
+    coins = rng.random(n - 1).tolist()
+    edges = [(0 if coin < b_eff else k - 1, k) for k, coin in enumerate(coins, 1)]
 
-    mean0, mean1 = spec.class_means()
-    mean = mean1 if label == 1 else mean0
+    mean = means[label]
     features = mean + spec.feature_noise_std * rng.standard_normal((n, spec.feature_dim))
     features[0, -1] += ROOT_FEATURE_MARK
     return PropagationEvent(
@@ -167,8 +170,9 @@ def generate_domain(spec: DomainSpec) -> list[PropagationEvent]:
     """
     tag = _domain_tag(spec.seed)
     children = np.random.SeedSequence(spec.seed).spawn(spec.num_events)
+    means = spec.class_means()
     return [
-        _generate_event(spec, f"ev-{tag}-{i:05d}", child)
+        _generate_event(spec, means, f"ev-{tag}-{i:05d}", child)
         for i, child in enumerate(children)
     ]
 

@@ -269,7 +269,8 @@ class GraphBatch:
     Graph k's nodes are row block k (``blocks``) of ``features`` and ``ax``.
     Propagation runs per graph, on its block and into its block of one
     output, with the bits that graph gives alone; a batch of one hands its
-    graph's own arrays through. ``ids`` names the events in messages.
+    graph's own arrays and products through. ``ids`` names the events in
+    messages.
     """
 
     def __init__(self, graphs: Sequence[PropGraph], ids: Sequence[str]) -> None:
@@ -278,9 +279,10 @@ class GraphBatch:
                 f"a batch needs one id per graph: {len(graphs)} graphs, {len(ids)} ids"
             )
         self.graphs, self.ids = tuple(graphs), tuple(ids)
-        if len(graphs) == 1:
+        if len(graphs) == 1:  # the graph's own arrays and products, bound
             g = graphs[0]
             self.features, self.ax, self.blocks = g.features, g.ax, g.blocks
+            self.propagate, self.propagate_back = g.propagate, g.propagate_back
         else:
             self.features = np.concatenate([g.features for g in graphs])
             self.ax = np.concatenate([g.ax for g in graphs])
@@ -299,8 +301,6 @@ class GraphBatch:
         return self._per_graph(PropGraph.propagate_back, g)
 
     def _per_graph(self, product, x: np.ndarray) -> np.ndarray:
-        if len(self.graphs) == 1:
-            return product(self.graphs[0], x)
         out = np.empty(x.shape)
         for graph, s in zip(self.graphs, self.blocks.rows):
             product(graph, x[s], out[s])

@@ -317,6 +317,7 @@ def objective(
     w_s: float = 1.0,
     w_c: float = 1.0,
     grad: bool = True,
+    values: bool = True,
 ) -> Losses:
     """The Y-structure objective L_m + w_s*L_s + w_c*L_c on one graph, or on
     each graph of a batch in lockstep.
@@ -329,7 +330,9 @@ def objective(
     ``Parameter.grad``; each weight scales the upstream gradient of its own
     term. L_m reaches theta_e and theta_m, L_s reaches theta_e and theta_s,
     L_c reaches theta_e only and adds nothing when w_c = 0 (its value is
-    still reported).
+    still reported). Without ``values`` no loss value is computed, only the
+    gradient, which has the same bits; every ``Losses`` field is then None.
+    Without ``grad`` no gradient is computed either, down to the loss terms.
 
     A ``GraphBatch`` of K graphs takes stacked ``params`` (one row per
     graph) and a ``perm`` of all its rows that keeps each graph's block
@@ -352,7 +355,7 @@ def objective(
     head = sh1_caches = None
     if perm is not None:
         h0, h1, g0, (head, sh1_caches) = forward_ssl(h, graph, params, perm)
-        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0, blocks)
+        out.l_s, g_h0, g_h1, g_g0 = contrastive_loss(h0, h1, g0, blocks, value=values, grad=grad)
 
     grad_main = None  # the main head's gradient at adj @ h
     if label is not None:
@@ -360,9 +363,9 @@ def objective(
             raise ValueError("the supervised term L_m takes one graph at a time")
         ah = head[0].ah[:, :d] if head is not None else graph.propagate(h)
         main_caches, g, logits = _main_head(graph, params, ah)
-        out.l_m, grad_logits = softmax_cross_entropy(logits[None, :], np.array(label).reshape(1))
+        l_m, grad_logits = softmax_cross_entropy(logits, label)
+        out.l_m = l_m if values else None
         if grad:
-            grad_logits = grad_logits[0]
             params.theta_m_out_w.grad += g[:, None] * grad_logits
             params.theta_m_out_b.grad += grad_logits
             grad_g = params.theta_m_out_w.value @ grad_logits
@@ -373,7 +376,9 @@ def objective(
     if perm is not None and grad:
         # g0 = mean(h0), so the readout gradient, 1/N of g_g0, adds to every row.
         g_h0 = g_h0 + blocks.spread(g_g0 / blocks.counts)
-        up = w_s * np.concatenate([g_h0, g_h1], axis=1)
+        up = np.concatenate([g_h0, g_h1], axis=1)
+        if w_s != 1.0:  # 1.0 * x is x, -0.0 and NaN included
+            up = w_s * up
         grads = _backward_stack(graph, head, params.theta_s, up)
         if grad_main is None:
             grads = graph.propagate_back(grads)
@@ -384,13 +389,14 @@ def objective(
     elif grad_main is not None:
         grad_main = graph.propagate_back(grad_main)
     if stats is not None:
-        out.l_c, grad_c = constraint_loss(stats, h, blocks)
-        if grad and w_c != 0.0:
+        with_grad = grad and w_c != 0.0
+        out.l_c, grad_c = constraint_loss(stats, h, blocks, value=values, grad=with_grad)
+        if with_grad:
             grad_h0 = w_c * grad_c if grad_h0 is None else grad_h0 + w_c * grad_c
     for g_h, caches in ((grad_main, sh_caches), (grad_h0, sh_caches), (grad_h1, sh1_caches)):
         if g_h is not None:
             _backward_stack(graph, caches, params.theta_e, g_h, input_grad=False)
-    if blocks.one and isinstance(graph, GraphBatch):  # a batch's losses are lists
+    if blocks.one and isinstance(graph, GraphBatch) and values:  # a batch's losses are lists
         return Losses(*(None if v is None else [v] for v in (out.l_m, out.l_s, out.l_c)))
     return out
 
@@ -470,8 +476,13 @@ def _penalty(diff_mu: np.ndarray, diff_eta: np.ndarray, count: int) -> float:
 
 
 def constraint_loss(
-    train_stats: EmbeddingStats, test_h: np.ndarray, blocks: Blocks | None = None
-) -> tuple[float, np.ndarray]:
+    train_stats: EmbeddingStats,
+    test_h: np.ndarray,
+    blocks: Blocks | None = None,
+    *,
+    value: bool = True,
+    grad: bool = True,
+) -> tuple[float | None, np.ndarray | None]:
     """Alignment penalty of test-side embeddings against training stats.
 
     Train-side stats are constants. Returns (value, grad w.r.t. test_h).
@@ -481,6 +492,8 @@ def constraint_loss(
 
     with the covariance part dropped when N = 1. With ``blocks`` each block
     is one event's embeddings, and the value is a list, one per event.
+    Without ``value`` (``grad``) the value (the gradient) is None and not
+    computed; the other part has the same bits either way.
     """
     if train_stats.mu.shape != test_h.shape[1:]:
         raise ValueError(f"stats dims differ: {train_stats.mu.shape} vs {test_h.shape[1:]}")
@@ -490,16 +503,22 @@ def constraint_loss(
         blocks = Blocks((test_h.shape[0],))
     mu, eta, centered = _block_stats(test_h, blocks)
     diff_mu, diff_eta = mu - train_stats.mu, eta - train_stats.eta
+    values = None
+    if value and blocks.one:
+        values = _penalty(diff_mu, diff_eta, test_h.shape[0])
+    elif value:
+        values = [_penalty(*diffs) for diffs in zip(diff_mu, diff_eta, blocks.sizes)]
+    if not grad:
+        return values, None
     scaled = blocks.row_four_over_n * centered
     if blocks.one:
         n = test_h.shape[0]
-        grad = 2.0 / n * diff_mu[None, :]
+        grad_h = 2.0 / n * diff_mu[None, :]
         if n > 1:
-            grad = grad + scaled @ diff_eta
-        return _penalty(diff_mu, diff_eta, n), grad
-    values, cov = [], np.empty(test_h.shape)
-    for s, dm, de, n in zip(blocks.rows, diff_mu, diff_eta, blocks.sizes):
-        values.append(_penalty(dm, de, n))
+            grad_h = grad_h + scaled @ diff_eta
+        return values, grad_h
+    cov = np.empty(test_h.shape)
+    for s, de, n in zip(blocks.rows, diff_eta, blocks.sizes):
         if n > 1:
             np.matmul(scaled[s], de, out=cov[s])
         else:

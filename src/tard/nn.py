@@ -151,13 +151,12 @@ def gcn_forward(
             z = (ah.reshape(n, views, d).swapaxes(0, 1) @ wk).swapaxes(0, 1).reshape(n, -1)
     else:  # one product per block, written into the block's rows
         z = np.empty((n, views * d_out))
+        a, into = ah, z
+        if views > 1:  # the views on a leading axis, once for every block
+            a = ah.reshape(n, views, d).swapaxes(0, 1)
+            into = z.reshape(n, views, d_out).swapaxes(0, 1)
         for s, wk in zip(rows, w):
-            a, out = ah[s], z[s]
-            if views > 1:
-                m = a.shape[0]
-                a = a.reshape(m, views, d).swapaxes(0, 1)
-                out = out.reshape(m, views, d_out).swapaxes(0, 1)
-            np.matmul(a, wk, out=out)
+            np.matmul(a[..., s, :], wk, out=into[..., s, :])
     if activation == "relu":
         out = np.maximum(z, 0.0)
     elif activation == "identity":
@@ -195,21 +194,17 @@ def gcn_backward(
         if not input_grad:
             return None, grad_ws
         return (dz @ wk.T).swapaxes(0, 1).reshape(n, -1), grad_ws
-    # One product per block, written into its rows and its grad_w slots.
+    # One product per block, written into its rows and its grad_w slots; the
+    # views go on a leading axis once for every block.
     grad_ws = np.empty((views,) + w.shape)
     grad_ah = np.empty((n, views * d_in)) if input_grad else None
+    dz = dz.reshape(n, views, d_out).swapaxes(0, 1)
+    ah_t = cache.ah.reshape(n, views, d_in).transpose(1, 2, 0)
+    into = grad_ah.reshape(n, views, d_in).swapaxes(0, 1) if input_grad else None
     for s, wk, gw in zip(rows, w, grad_ws.swapaxes(0, 1)):
-        dzk, ahk = dz[s], cache.ah[s]
-        if views == 1:
-            np.matmul(ahk.T, dzk, out=gw[0])
-            if input_grad:
-                np.matmul(dzk, wk.T, out=grad_ah[s])
-            continue
-        m = dzk.shape[0]
-        dzk = dzk.reshape(m, views, d_out).swapaxes(0, 1)
-        np.matmul(ahk.reshape(m, views, d_in).transpose(1, 2, 0), dzk, out=gw)
+        np.matmul(ah_t[..., s], dz[:, s], out=gw)
         if input_grad:
-            np.matmul(dzk, wk.T, out=grad_ah[s].reshape(m, views, d_in).swapaxes(0, 1))
+            np.matmul(dz[:, s], wk.T, out=into[:, s])
     return grad_ah, grad_ws
 
 
@@ -234,8 +229,14 @@ def mean_readout_backward(grad_out: np.ndarray, num_nodes: int) -> np.ndarray:
 
 
 def contrastive_loss(
-    h0: np.ndarray, h1: np.ndarray, g0: np.ndarray, blocks: Blocks | None = None
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    h0: np.ndarray,
+    h1: np.ndarray,
+    g0: np.ndarray,
+    blocks: Blocks | None = None,
+    *,
+    value: bool = True,
+    grad: bool = True,
+) -> tuple[float | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Node-vs-readout contrastive loss over an original and a corrupted view.
 
     loss = -(1/2N) sum_i [log D(h0_i, g0) + log(1 - D(h1_i, g0))]
@@ -244,7 +245,10 @@ def contrastive_loss(
     treated as an independent input here (callers chain it to h0 themselves).
     With ``blocks`` of K > 1 events, each block is one event with its own
     readout row of the (K, d) ``g0``; the loss is then a list and grad_g0 a
-    (K, d) array, one entry per event.
+    (K, d) array, one entry per event. Without ``value`` the loss is None
+    and none of its logs or sums is taken; without ``grad`` the gradients
+    are None and none of them is computed. Each part has the same bits
+    either way.
     """
     if h0.shape != h1.shape:
         raise ValueError(f"view shapes differ: {h0.shape} vs {h1.shape}")
@@ -265,8 +269,19 @@ def contrastive_loss(
     pq = sigmoid(pq)
     p, q = pq[:n], pq[n:]
     not_q = 1.0 - q
-    log_pos = np.log(np.maximum(p, LOG_EPS))
-    log_neg = np.log(np.maximum(not_q, LOG_EPS))
+    loss = None
+    if value:
+        log_pos = np.log(np.maximum(p, LOG_EPS))
+        log_neg = np.log(np.maximum(not_q, LOG_EPS))
+        if one:
+            loss = float(-(np.add.reduce(log_pos) + np.add.reduce(log_neg)) / two_n)
+        else:
+            loss = [
+                float(-(np.add.reduce(log_pos[s]) + np.add.reduce(log_neg[s])) / t)
+                for s, t in zip(blocks.rows, blocks.two_n)
+            ]
+    if not grad:
+        return loss, None, None, None
     # d/ds log(sigmoid(s)) = 1 - p ; d/dt log(1 - sigmoid(t)) = -q,
     # zeroed where the clamp is active.
     ds = np.where(p > LOG_EPS, (1.0 - p) / -two_n, 0.0)
@@ -274,14 +289,12 @@ def contrastive_loss(
     grad_h0 = ds[:, None] * g_rows
     grad_h1 = dt[:, None] * g_rows
     if one:
-        loss = -(np.add.reduce(log_pos) + np.add.reduce(log_neg)) / two_n
-        return float(loss), grad_h0, grad_h1, ds @ h0 + dt @ h1
-    losses, grads = [], np.empty((2,) + g0.shape)
-    for s, t, a, b in zip(blocks.rows, blocks.two_n, *grads):
-        losses.append(float(-(np.add.reduce(log_pos[s]) + np.add.reduce(log_neg[s])) / t))
+        return loss, grad_h0, grad_h1, ds @ h0 + dt @ h1
+    grads = np.empty((2,) + g0.shape)
+    for s, a, b in zip(blocks.rows, *grads):
         np.matmul(ds[s], h0[s], out=a)
         np.matmul(dt[s], h1[s], out=b)
-    return losses, grad_h0, grad_h1, np.add(*grads)
+    return loss, grad_h0, grad_h1, np.add(*grads)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -291,26 +304,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-softmax(logits) against integer class labels.
+def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of softmax(logits) against one integer class label.
 
-    ``logits`` is (batch, classes) and ``labels`` holds one class index per
-    row. Log-probabilities come from the max-subtracted log-sum-exp form, so
-    the loss stays finite for any finite logits. Returns (loss, grad_logits).
+    ``logits`` is one (classes,) vector. The log-probability comes from the
+    max-subtracted log-sum-exp form, so the loss stays finite for any finite
+    logits. Returns (loss, grad_logits).
     """
-    b, c = logits.shape
-    if labels.shape != (b,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels {labels.shape} {labels.dtype} vs logits {logits.shape}")
-    if not ((labels >= 0) & (labels < c)).all():
-        raise ValueError(f"labels {labels.tolist()} outside [0, {c})")
-    rows = np.arange(b)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    if logits.ndim != 1 or isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ValueError(f"label {label!r} is not one class index for logits {logits.shape}")
+    if not 0 <= label < logits.shape[0]:
+        raise ValueError(f"label {label} outside [0, {logits.shape[0]})")
+    shifted = logits - logits.max()
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    loss = -(shifted - np.log(total))[rows, labels].sum() / b
+    total = e.sum()
+    loss = -(shifted[label] - np.log(total))
     grad = e / total  # softmax(logits), bit for bit
-    grad[rows, labels] -= 1.0
-    return float(loss), grad / b
+    grad[label] -= 1.0
+    return float(loss), grad
 
 
 #: Adam's moment decay rates and denominator floor, the same for every run.

@@ -65,10 +65,18 @@ ONLINE = "online"
 ADAPTATION_MODES = (EPISODIC, ONLINE)
 
 #: Most adaptation steps per event a config or checkpoint may ask for: 300
-#: times the shift_mid preset's 30, about 4 s per shift-mid event at ~0.4 ms
-#: a step. Without a ceiling a count such as 10**400 passes as valid and
-#: evaluation never ends.
+#: times the shift_mid preset's 30, about 1.3 s per 51-node shift-mid event
+#: at ~0.13 ms a step on one CPU. Without a ceiling a count such as 10**400
+#: passes as valid and evaluation never ends.
 MAX_TTT_STEPS = 10_000
+
+#: Most training epochs, and most stale epochs before early stopping
+#: (``patience``), a config or checkpoint may ask for: 50 times the default
+#: 200 epochs, about 15 minutes of shift_mid training at ~0.09 s an epoch.
+#: Without a ceiling ``epochs=10**400`` passes as valid and training never
+#: ends; a patience above the epoch count never stops a run early, so the
+#: two share one ceiling.
+MAX_EPOCHS = 10_000
 
 CHECKPOINT_FORMAT = "tard-checkpoint-v1"
 
@@ -79,9 +87,9 @@ class TrainConfig:
 
     alpha1 weights the self-supervised loss during training; alpha2 weights
     the statistics-alignment penalty during adaptation. ttt_steps = 0 turns
-    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`. d_hidden
-    and the layer counts are at most ``model.MAX_D_HIDDEN`` and
-    ``model.MAX_LAYERS``.
+    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`. epochs and
+    patience are at most :data:`MAX_EPOCHS`, d_hidden and the layer counts
+    at most ``model.MAX_D_HIDDEN`` and ``model.MAX_LAYERS``.
     """
 
     alpha1: float = 1.0
@@ -107,6 +115,8 @@ class TrainConfig:
             raise ValueError("alpha2 must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be <= {MAX_EPOCHS}")
         if not 0 < self.train_lr < np.inf or not 0 < self.ttt_lr < np.inf:
             raise ValueError("learning rates must be finite and positive")
         if self.ttt_steps < 0:
@@ -124,6 +134,8 @@ class TrainConfig:
             raise ValueError("adjacency must be 'undirected' or 'directed'")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.patience > MAX_EPOCHS:
+            raise ValueError(f"patience must be <= {MAX_EPOCHS}")
         if not 0 <= self.min_delta < np.inf:
             raise ValueError("min_delta must be finite and >= 0")
 
@@ -309,7 +321,7 @@ def ttt_adapt(
     for _ in range(cfg.ttt_steps):
         perm = blocks.permutation(rngs)
         span.grad.fill(0.0)
-        objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2)
+        objective(graph, work, perm=perm, stats=stats, w_c=cfg.alpha2, values=False)
         adam_step(span, opt)
         if not np.isfinite(span.value).all():
             rows = span.value.reshape(len(rngs), -1)

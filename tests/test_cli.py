@@ -11,7 +11,7 @@ from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
 from tard.graphs import to_prop_graph
 from tard.model import LAYER_COUNTS, MAX_D_HIDDEN, MAX_LAYERS
-from tard.pipeline import MAX_TTT_STEPS, load_checkpoint, predict
+from tard.pipeline import MAX_EPOCHS, MAX_TTT_STEPS, load_checkpoint, predict
 
 SIZE_CEILINGS = [("d_hidden", MAX_D_HIDDEN)] + [(name, MAX_LAYERS) for name in LAYER_COUNTS]
 
@@ -152,6 +152,16 @@ class TestGen:
                 )
                 for command in ("train", "eval")
                 for name, top in SIZE_CEILINGS
+            ),
+            *(
+                pytest.param(
+                    command,
+                    {"train": {name: MAX_EPOCHS + 1}},
+                    ["bad.json", f"'train.{name}' is out of range: {name} must be <= {MAX_EPOCHS}"],
+                    id=f"{command}-{name}-ceiling",
+                )
+                for command in ("train", "eval")
+                for name in ("epochs", "patience")
             ),
             *(
                 pytest.param(command, payload, ["bad.json", *keys], id=f"{command}-{case}")

@@ -16,6 +16,7 @@ from tard.datagen import (
     ROOT_FEATURE_MARK,
     DomainSpec,
     ShiftSpec,
+    _domain_tag,
     apply_shift,
     derive_split_seed,
     derive_target_seed,
@@ -25,7 +26,7 @@ from tard.datagen import (
     read_dataset,
     write_dataset,
 )
-from tard.graphs import InvalidEventError, to_prop_graph
+from tard.graphs import InvalidEventError, PropagationEvent, to_prop_graph
 from tard.pipeline import TrainConfig, predict, train_phase
 
 
@@ -154,6 +155,47 @@ class TestGenerateDomain:
         )
         assert all(e.edges == [(k - 1, k) for k in range(1, 6)] for e in chains)
         assert all(e.edges == [(0, k) for k in range(1, 6)] for e in stars)
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"size_dist": (1, 1)},
+            {"branching_bias": 0.0, "structure_signal_strength": 0.0},
+            {"branching_bias": 1.0},
+            {"feature_dim": 1, "mean_translation": (0.5,)},
+            {"mean_rotation": 0.7, "class_balance": 0.9, "size_dist": (1, 40)},
+        ],
+        ids=["default", "one-node", "chains", "stars", "one-feature", "shifted"],
+    )
+    def test_matches_a_per_node_draw(self, overrides):
+        """One call draws every attachment coin of an event: the same values,
+        in the same order, as one scalar draw per node."""
+        spec = _spec(num_events=40, **overrides)
+        assert _dataset_bytes(generate_domain(spec)) == _dataset_bytes(_per_node_domain(spec))
+
+
+def _per_node_domain(spec):
+    """``generate_domain`` drawing one attachment coin per node, and the
+    class means once per event."""
+    tag = _domain_tag(spec.seed)
+    out = []
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.num_events)):
+        rng = np.random.default_rng(child)
+        label = int(rng.random() < spec.class_balance)
+        lo, hi = spec.size_dist
+        n = int(rng.integers(lo, hi + 1))
+        b_eff = spec.branching_bias + (label - 0.5) * spec.structure_signal_strength
+        b_eff = min(1.0, max(0.0, b_eff))
+        edges = []
+        for k in range(1, n):
+            edges.append((0 if rng.random() < b_eff else k - 1, k))
+        mean = spec.class_means()[label]
+        features = mean + spec.feature_noise_std * rng.standard_normal((n, spec.feature_dim))
+        features[0, -1] += ROOT_FEATURE_MARK
+        out.append(PropagationEvent(f"ev-{tag}-{i:05d}", label, n, edges, features))
+    return out
 
 
 class TestApplyShift:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_check, make_random_event, make_random_graph
 from tard import graphs
-from tard.graphs import PropGraph
+from tard.graphs import EDGE_LIST_MIN_NODES, GraphBatch, PropGraph
 from tard.model import (
     ALL_GROUPS,
     GROUP_MAIN,
@@ -21,6 +21,7 @@ from tard.model import (
     EmbeddingStats,
     Losses,
     ModelDims,
+    TardParams,
     compute_embedding_stats,
     constraint_loss,
     constraint_value,
@@ -35,10 +36,11 @@ from tard.model import (
     params_from_record,
     params_to_record,
     snapshot,
+    stack,
     stats_from_record,
     stats_to_record,
 )
-from tard.nn import AdamState, Parameter, adam_step
+from tard.nn import AdamState, Blocks, Parameter, adam_step
 from tard.pipeline import predict
 
 
@@ -449,6 +451,55 @@ class TestObjective:
         out = objective(make_random_graph(rng, 4, 4), small_params, grad=False)
         assert out == Losses()
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [[6], [EDGE_LIST_MIN_NODES], [5, 1, 12]],
+        ids=["dense", "edge-list", "lockstep-batch"],
+    )
+    def test_gradient_without_values_is_the_same(self, rng, sizes):
+        """An adaptation step that reads no loss value accumulates the same
+        gradient bytes, and the probe still reports L_s and L_c."""
+        params, _, stats, _ = self._setup(rng)
+        alone = [make_random_graph(rng, n, 3) for n in sizes]
+        if len(sizes) == 1:
+            graph = alone[0]
+        else:
+            graph = GraphBatch(alone, [f"b-{k}" for k in range(len(sizes))])
+            params = stack(params, len(sizes))
+        perm = graph.blocks.permutation([np.random.default_rng(k) for k in range(len(sizes))])
+        kwargs = {"perm": perm, "stats": stats, "w_c": 0.3}
+        grads, outs = [], []
+        for values in (True, False):
+            params.span().grad.fill(0.0)
+            outs.append(objective(graph, params, values=values, **kwargs))
+            grads.append(params.flat.grad.tobytes())
+        assert grads[0] == grads[1]
+        assert outs[1] == Losses()
+        probe = objective(graph, params, grad=False, **kwargs)
+        assert probe == outs[0]
+        l_s, l_c = (probe.l_s, probe.l_c) if len(sizes) == 1 else (probe.l_s[0], probe.l_c[0])
+        first = snapshot(params) if len(sizes) == 1 else _row(params, 0)
+        h0, h1, g0, _ = _ssl_views(alone[0], first, perm[: sizes[0]])
+        want = -(np.log(_sigmoid(h0 @ g0)).sum() + np.log(1 - _sigmoid(h1 @ g0)).sum())
+        npt.assert_allclose(l_s, want / (2 * sizes[0]), rtol=1e-12)
+        h = forward_shared(alone[0], first)[0]
+        assert l_c == constraint_value(stats, embedding_stats(h))
+
+    def test_unit_weight_is_skipped_exactly(self):
+        """The SSL upstream skips ``w_s *`` at 1.0: the product is the
+        input's own bits, -0.0, infinities and NaN included."""
+        x = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.5])
+        assert (1.0 * x).tobytes() == x.tobytes()
+
+
+def _row(params, k):
+    """Event ``k``'s parameter set of a stack, as a lone copy."""
+    return TardParams(params.dims, Parameter(params.flat.value[k].copy()))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
 
 class _CountingAdjacency(np.ndarray):
     """A dense adjacency that counts the matrix products it is the left
@@ -581,6 +632,16 @@ class TestEmbeddingStats:
 
 
 class TestConstraint:
+    @pytest.mark.parametrize("sizes", [[6], [5, 1, 9]], ids=["one-event", "three-events"])
+    def test_value_and_gradient_do_not_depend_on_each_other(self, rng, sizes):
+        """Leaving out the value or the gradient changes neither the other."""
+        train = embedding_stats(rng.standard_normal((20, 3)))
+        h, blocks = rng.standard_normal((sum(sizes), 3)), Blocks(sizes)
+        value, grad = constraint_loss(train, h, blocks)
+        assert constraint_loss(train, h, blocks, grad=False) == (value, None)
+        no_value, same = constraint_loss(train, h, blocks, value=False)
+        assert no_value is None and same.tobytes() == grad.tobytes()
+
     def test_identical_stats_give_exact_zero(self, rng):
         h = rng.standard_normal((5, 3))
         s = embedding_stats(h)

@@ -13,6 +13,7 @@ from tard.nn import (
     ADAM_EPS,
     LOG_EPS,
     AdamState,
+    Blocks,
     Parameter,
     adam_step,
     assert_all_finite,
@@ -199,41 +200,45 @@ class TestSoftmaxCrossEntropy:
         npt.assert_allclose(probs.sum(axis=1), np.ones(7), atol=1e-12)
 
     def test_uniform_two_class_is_ln2(self):
-        loss, _ = softmax_cross_entropy(np.zeros((3, 2)), np.array([0, 0, 0]))
-        npt.assert_allclose(loss, np.log(2.0), atol=1e-12)
+        for label in (0, 1):
+            loss, _ = softmax_cross_entropy(np.zeros(2), label)
+            npt.assert_allclose(loss, np.log(2.0), atol=1e-12)
 
     def test_two_row_hand_value(self):
-        # rows softmax to (0.8, 0.2) and (0.4, 0.6); labels are class 0 then 1
+        # logits softmax to (0.8, 0.2) and (0.4, 0.6); labels are class 0 then 1
         logits = np.log(np.array([[0.8, 0.2], [0.4, 0.6]]))
-        loss, _ = softmax_cross_entropy(logits, np.array([0, 1]))
-        npt.assert_allclose(loss, -(np.log(0.8) + np.log(0.6)) / 2.0, atol=1e-12)
-        npt.assert_allclose(loss, 0.3669845875401002, atol=1e-12)
+        losses = [softmax_cross_entropy(row, label)[0] for row, label in zip(logits, (0, 1))]
+        npt.assert_allclose(losses, [-np.log(0.8), -np.log(0.6)], atol=1e-12)
+        npt.assert_allclose(sum(losses) / 2.0, 0.3669845875401002, atol=1e-12)
 
     def test_huge_margin_loss_near_zero(self):
-        logits = np.array([[500.0, -500.0]])
-        loss, _ = softmax_cross_entropy(logits, np.array([0]))
+        loss, _ = softmax_cross_entropy(np.array([500.0, -500.0]), 0)
         assert 0.0 <= loss < 1e-12
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_rejects_label_out_of_range(self, label):
         with pytest.raises(ValueError, match="outside"):
-            softmax_cross_entropy(np.zeros((1, 2)), np.array([label]))
+            softmax_cross_entropy(np.zeros(2), label)
 
-    @pytest.mark.parametrize("labels", [[0.0], [0, 1]], ids=["float", "two-for-one-row"])
-    def test_rejects_labels_not_one_index_per_row(self, labels):
-        with pytest.raises(ValueError, match="labels"):
-            softmax_cross_entropy(np.zeros((1, 2)), np.array(labels))
+    @pytest.mark.parametrize(
+        "logits, label",
+        [(np.zeros(2), 0.0), (np.zeros(2), np.array([0, 1])), (np.zeros((1, 2)), 0)],
+        ids=["float", "two-for-one-row", "batch-of-rows"],
+    )
+    def test_rejects_labels_not_one_index_per_row(self, logits, label):
+        with pytest.raises(ValueError, match="label"):
+            softmax_cross_entropy(logits, label)
 
     def test_gradient_matches_finite_difference(self, rng):
-        logits = Parameter(rng.standard_normal((4, 3)))
-        labels = np.array([0, 2, 1, 2])
+        for label in (0, 2, 1):
+            logits = Parameter(rng.standard_normal(3))
 
-        def loss_fn():
-            loss, grad = softmax_cross_entropy(logits.value, labels)
-            return loss, {"logits": grad}
+            def loss_fn():
+                loss, grad = softmax_cross_entropy(logits.value, label)
+                return loss, {"logits": grad}
 
-        report = finite_difference_check(loss_fn, [("logits", logits)])
-        assert report.ok, f"max rel error {report.max_rel_error}"
+            report = finite_difference_check(loss_fn, [("logits", logits)])
+            assert report.ok, f"max rel error {report.max_rel_error}"
 
 
 class TestAdam:
@@ -297,6 +302,19 @@ class TestBitIdentity:
         with np.errstate(under="ignore"):
             assert sigmoid(x).tobytes() == _masked_sigmoid(x).tobytes()
 
+    @pytest.mark.parametrize("sizes", [[40], [7, 1, 12]], ids=["one-event", "three-events"])
+    def test_contrastive_parts_do_not_depend_on_each_other(self, rng, sizes):
+        """Leaving out the loss or the gradients changes neither the other."""
+        n, k = sum(sizes), len(sizes)
+        h0, h1 = rng.standard_normal((n, 3)) * 30, rng.standard_normal((n, 3)) * 30
+        g0 = rng.standard_normal((k, 3) if k > 1 else 3)
+        blocks = Blocks(sizes)
+        loss, *grads = contrastive_loss(h0, h1, g0, blocks)
+        assert contrastive_loss(h0, h1, g0, blocks, grad=False) == (loss, None, None, None)
+        no_value, *same = contrastive_loss(h0, h1, g0, blocks, value=False)
+        assert no_value is None
+        assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
+
     def test_contrastive_loss_matches_former_formula(self, rng):
         # Scores up to about +-100 saturate the sigmoid, so p = 1 and both
         # clamps occur.
@@ -325,13 +343,14 @@ class TestBitIdentity:
     def test_cross_entropy_matches_softmax_form(self, rng, rows, scale):
         logits = rng.standard_normal((rows, 3)) * scale
         labels = rng.integers(0, 3, size=rows)
-        loss, grad = softmax_cross_entropy(logits, labels)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = softmax(logits)
         expected[np.arange(rows), labels] -= 1.0
-        assert loss == float(-log_probs[np.arange(rows), labels].sum() / rows)
-        assert grad.tobytes() == (expected / rows).tobytes()
+        for row, label, log_p, want in zip(logits, labels, log_probs, expected):
+            loss, grad = softmax_cross_entropy(row, label)
+            assert loss == float(-log_p[label])
+            assert grad.tobytes() == want.tobytes()
 
 
 class TestUtilities:

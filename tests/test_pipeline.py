@@ -36,6 +36,7 @@ from tard.model import (
 )
 from tard.nn import AdamState, adam_step
 from tard.pipeline import (
+    MAX_EPOCHS,
     MAX_TTT_STEPS,
     EventRecord,
     TrainConfig,
@@ -120,6 +121,13 @@ class TestTrainConfig:
                 TrainConfig(**{name: bad})
             with pytest.raises(ValueError, match=f"^{name} must be <= {top}$"):
                 ModelDims(**{"d_in": 1, "d_hidden": 1, name: bad})
+
+    @pytest.mark.parametrize("name", ["epochs", "patience"])
+    def test_rejects_counts_above_the_epoch_ceiling(self, name):
+        assert getattr(TrainConfig(**{name: MAX_EPOCHS}), name) == MAX_EPOCHS
+        for bad in (MAX_EPOCHS + 1, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must be <= {MAX_EPOCHS}$"):
+                TrainConfig(**{name: bad})
 
     def test_rejects_ttt_steps_above_the_ceiling(self):
         assert TrainConfig(ttt_steps=MAX_TTT_STEPS).ttt_steps == MAX_TTT_STEPS
