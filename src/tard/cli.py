@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from functools import partial
 from pathlib import Path
 
 from .datagen import DomainSpec, ShiftSpec, generate_domain, read_dataset, write_dataset
@@ -23,6 +22,7 @@ from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
     _check_file_values,
+    _check_keys,
     _check_record,
     architecture_mismatch,
     evaluate,
@@ -91,19 +91,19 @@ def resolve_config(
     file_cfg = _load_config_file(path) if path else {}
     seed_flag = getattr(args, "seed", None)
     seed = file_cfg.get("seed", 0) if seed_flag is None else seed_flag
-    if seed_flag is None and seed < 0:
-        raise ValueError(f"{source}: 'seed' is out of range: seed must be >= 0")
+    if seed_flag is None:
+        _check_keys(source, "", TrainConfig, {"seed": seed})
     base = shift_mid(seed)
     if train is not None:
         base = replace(base, train=train)
     sections = {
         section: _check_file_values(
-            source, f"{section}.", cls, asdict(getattr(base, section)), file_cfg.get(section, {})
+            source, f"{section}.", cls, file_cfg.get(section, {}), getattr(base, section)
         )
         for section, cls in CONFIG_SECTIONS.items()
     }
     counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
-    cfg = _check_file_values(source, "", partial(replace, base), {}, counts)
+    cfg = _check_file_values(source, "", ExperimentConfig, counts, base)
     if seed_flag is not None:
         sections["domain"] = replace(sections["domain"], seed=seed_flag)
     flags = {f: getattr(args, f) for f in TRAIN_FLAGS if getattr(args, f, None) is not None}

@@ -23,8 +23,20 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import InvalidEventError, PropagationEvent
+from .ranges import check, rule
 
 ROOT_FEATURE_MARK = 1.0  # added to the last coordinate of the root's features
+
+
+#: Ceilings on what generation holds in memory or loops over: events in a
+#: domain or split, feature coordinates per node (room for a 768-dimensional
+#: text embedding) and nodes per cascade, also after a shift (five times the
+#: largest large-cascade event). The presets use 400, 8 and 90. Without them
+#: 10**9 events never finished, and 10**8 features or nodes ended in a numpy
+#: MemoryError. A size factor above MAX_NODES pushes any cascade past it.
+MAX_EVENTS = 100_000
+MAX_FEATURE_DIM = 1024
+MAX_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -34,44 +46,26 @@ class DomainSpec:
     ``mean_rotation`` (radians, applied in the plane of the first two feature
     coordinates) and ``mean_translation`` position the class-mean axis; they
     start neutral for a source domain (a ``None`` translation is no offset)
-    and are populated by ``apply_shift``.
+    and are populated by ``apply_shift``. Each field's range is its ``rule``.
     """
 
-    num_events: int
-    feature_dim: int
-    class_mean_separation: float
-    feature_noise_std: float
-    size_dist: tuple[int, int]
-    branching_bias: float
-    structure_signal_strength: float
-    seed: int
-    class_balance: float = 0.5
-    mean_rotation: float = 0.0
-    mean_translation: tuple[float, ...] | None = None
+    num_events: int = rule(ge=1, le=MAX_EVENTS)
+    feature_dim: int = rule(ge=1, le=MAX_FEATURE_DIM)
+    class_mean_separation: float = rule(ge=0, real=True)
+    feature_noise_std: float = rule(gt=0, real=True)
+    size_dist: tuple[int, int] = rule(ge=1, le=MAX_NODES, each=True)
+    branching_bias: float = rule(ge=0, le=1, real=True)
+    structure_signal_strength: float = rule(ge=0, real=True)
+    seed: int = rule(ge=0)
+    class_balance: float = rule(0.5, ge=0, le=1, real=True)
+    mean_rotation: float = rule(0.0, real=True)
+    mean_translation: tuple[float, ...] | None = rule(None, real=True, each=True)
 
     def __post_init__(self) -> None:
-        if self.num_events < 1:
-            raise ValueError("num_events must be >= 1")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        if not 0.0 <= self.class_balance <= 1.0:
-            raise ValueError("class_balance must lie in [0, 1]")
-        if not 0.0 <= self.class_mean_separation < math.inf:
-            raise ValueError("class_mean_separation must be finite and >= 0")
-        if not 0.0 < self.feature_noise_std < math.inf:
-            raise ValueError("feature_noise_std must be finite and > 0")
+        check(DomainSpec, vars(self))
         object.__setattr__(self, "size_dist", tuple(self.size_dist))
-        lo, hi = self.size_dist
-        if lo < 1 or hi < lo:
+        if len(self.size_dist) != 2 or self.size_dist[0] > self.size_dist[1]:
             raise ValueError("size_dist must satisfy 1 <= min <= max")
-        if not 0.0 <= self.branching_bias <= 1.0:
-            raise ValueError("branching_bias must lie in [0, 1]")
-        if not 0.0 <= self.structure_signal_strength < math.inf:
-            raise ValueError("structure_signal_strength must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not math.isfinite(self.mean_rotation):
-            raise ValueError("mean_rotation must be finite")
         if self.mean_rotation != 0.0 and self.feature_dim < 2:
             raise ValueError("mean_rotation needs feature_dim >= 2")
         if self.mean_translation is not None:
@@ -80,8 +74,6 @@ class DomainSpec:
                 raise ValueError(
                     f"mean_translation has length {len(translation)}, expected {self.feature_dim}"
                 )
-            if not all(math.isfinite(v) for v in translation):
-                raise ValueError("mean_translation must be finite")
             object.__setattr__(self, "mean_translation", translation)
 
     def class_means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,22 +91,14 @@ class DomainSpec:
 class ShiftSpec:
     """Source-to-target transformation applied to a DomainSpec."""
 
-    rotation_angle: float = 0.0
-    mean_translation: tuple[float, ...] = ()
-    noise_scale_factor: float = 1.0
-    size_scale_factor: float = 1.0
-    branching_shift: float = 0.0
+    rotation_angle: float = rule(0.0, real=True)
+    mean_translation: tuple[float, ...] = rule((), real=True, each=True)
+    noise_scale_factor: float = rule(1.0, gt=0, real=True)
+    size_scale_factor: float = rule(1.0, gt=0, le=MAX_NODES, real=True)
+    branching_shift: float = rule(0.0, real=True)
 
     def __post_init__(self) -> None:
-        for name in ("rotation_angle", "noise_scale_factor", "size_scale_factor", "branching_shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.noise_scale_factor <= 0:
-            raise ValueError("noise_scale_factor must be > 0")
-        if self.size_scale_factor <= 0:
-            raise ValueError("size_scale_factor must be > 0")
-        if not all(math.isfinite(v) for v in self.mean_translation):
-            raise ValueError("mean_translation must be finite")
+        check(ShiftSpec, vars(self))
         object.__setattr__(
             self, "mean_translation", tuple(float(v) for v in self.mean_translation)
         )

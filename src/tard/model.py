@@ -47,6 +47,7 @@ from .nn import (
     softmax,
     softmax_cross_entropy,
 )
+from .ranges import check, rule
 
 GROUP_SHARED = "e"
 GROUP_MAIN = "m"
@@ -65,33 +66,19 @@ MAX_LAYERS = 8
 LAYER_COUNTS = ("shared_layers", "main_layers", "ssl_layers")
 
 
-def check_sizes(values) -> None:
-    """Raise a ValueError naming the first of ``d_hidden`` and the layer
-    counts (attributes of ``values``) outside [1, ceiling]."""
-    for name, top in (("d_hidden", MAX_D_HIDDEN),) + tuple((n, MAX_LAYERS) for n in LAYER_COUNTS):
-        if getattr(values, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
-        if getattr(values, name) > top:
-            raise ValueError(f"{name} must be <= {top}")
-
-
 @dataclass(frozen=True)
 class ModelDims:
     """Architecture record: feature dim, hidden width, classes, layer counts."""
 
-    d_in: int
-    d_hidden: int
-    num_classes: int = 2
-    shared_layers: int = 1
-    main_layers: int = 1
-    ssl_layers: int = 1
+    d_in: int = rule(ge=1)
+    d_hidden: int = rule(ge=1, le=MAX_D_HIDDEN)
+    num_classes: int = rule(2, ge=2)
+    shared_layers: int = rule(1, ge=1, le=MAX_LAYERS)
+    main_layers: int = rule(1, ge=1, le=MAX_LAYERS)
+    ssl_layers: int = rule(1, ge=1, le=MAX_LAYERS)
 
     def __post_init__(self) -> None:
-        if self.d_in < 1:
-            raise ValueError("d_in must be >= 1")
-        check_sizes(self)
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        check(ModelDims, vars(self))
 
 
 def layout(dims: ModelDims) -> dict[str, list[tuple[str, tuple[int, int]]]]:
@@ -579,7 +566,8 @@ def params_from_record(rec: dict) -> TardParams:
         if name not in mats:
             raise ValueError(f"{key!r} is missing")
         if tuple(mats[name]["shape"]) != shape:
-            raise ValueError(f"'{key}.shape' is {mats[name]['shape']}, dims give {list(shape)}")
+            have = mats[name]["shape"]
+            raise ValueError(f"'{key}.shape' is {have}, but 'params.dims' gives {list(shape)}")
         return _checked_array(f"{key}.data", mats[name]["data"], shape).ravel()
 
     entries = [entry for group in layout(dims).values() for entry in group]

@@ -41,11 +41,12 @@ from .model import (
     GROUP_SHARED,
     GROUP_SSL,
     LAYER_COUNTS,
+    MAX_D_HIDDEN,
+    MAX_LAYERS,
     EmbeddingStats,
     Losses,
     ModelDims,
     TardParams,
-    check_sizes,
     compute_embedding_stats,
     forward_main,
     forward_shared,
@@ -59,6 +60,7 @@ from .model import (
     stats_to_record,
 )
 from .nn import AdamState, adam_step, assert_all_finite
+from .ranges import check, rule
 
 EPISODIC = "episodic"
 ONLINE = "online"
@@ -87,57 +89,27 @@ class TrainConfig:
 
     alpha1 weights the self-supervised loss during training; alpha2 weights
     the statistics-alignment penalty during adaptation. ttt_steps = 0 turns
-    adaptation off entirely; it is at most :data:`MAX_TTT_STEPS`. epochs and
-    patience are at most :data:`MAX_EPOCHS`, d_hidden and the layer counts
-    at most ``model.MAX_D_HIDDEN`` and ``model.MAX_LAYERS``.
+    adaptation off entirely. Each field's range is its ``rule``.
     """
 
-    alpha1: float = 1.0
-    alpha2: float = 0.1
-    epochs: int = 200
-    train_lr: float = 5e-3
-    ttt_lr: float = 1e-3
-    ttt_steps: int = 10
-    adaptation_mode: str = EPISODIC
-    seed: int = 0
-    d_hidden: int = 16
-    shared_layers: int = 1
-    main_layers: int = 1
-    ssl_layers: int = 1
-    adjacency: str = "undirected"
-    patience: int = 20
-    min_delta: float = 1e-4
+    alpha1: float = rule(1.0, ge=0, real=True)
+    alpha2: float = rule(0.1, ge=0, real=True)
+    epochs: int = rule(200, ge=1, le=MAX_EPOCHS)
+    train_lr: float = rule(5e-3, gt=0, real=True)
+    ttt_lr: float = rule(1e-3, gt=0, real=True)
+    ttt_steps: int = rule(10, ge=0, le=MAX_TTT_STEPS)
+    adaptation_mode: str = rule(EPISODIC, choices=ADAPTATION_MODES)
+    seed: int = rule(0, ge=0)
+    d_hidden: int = rule(16, ge=1, le=MAX_D_HIDDEN)
+    shared_layers: int = rule(1, ge=1, le=MAX_LAYERS)
+    main_layers: int = rule(1, ge=1, le=MAX_LAYERS)
+    ssl_layers: int = rule(1, ge=1, le=MAX_LAYERS)
+    adjacency: str = rule("undirected", choices=("undirected", "directed"))
+    patience: int = rule(20, ge=1, le=MAX_EPOCHS)
+    min_delta: float = rule(1e-4, ge=0, real=True)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha1) or self.alpha1 < 0:
-            raise ValueError("alpha1 must be finite and >= 0")
-        if not np.isfinite(self.alpha2) or self.alpha2 < 0:
-            raise ValueError("alpha2 must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.epochs > MAX_EPOCHS:
-            raise ValueError(f"epochs must be <= {MAX_EPOCHS}")
-        if not 0 < self.train_lr < np.inf or not 0 < self.ttt_lr < np.inf:
-            raise ValueError("learning rates must be finite and positive")
-        if self.ttt_steps < 0:
-            raise ValueError("ttt_steps must be >= 0")
-        if self.ttt_steps > MAX_TTT_STEPS:
-            raise ValueError(f"ttt_steps must be <= {MAX_TTT_STEPS}")
-        if self.adaptation_mode not in ADAPTATION_MODES:
-            raise ValueError(
-                f"adaptation_mode must be one of {ADAPTATION_MODES}, got {self.adaptation_mode!r}"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        check_sizes(self)
-        if self.adjacency not in ("undirected", "directed"):
-            raise ValueError("adjacency must be 'undirected' or 'directed'")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.patience > MAX_EPOCHS:
-            raise ValueError(f"patience must be <= {MAX_EPOCHS}")
-        if not 0 <= self.min_delta < np.inf:
-            raise ValueError("min_delta must be finite and >= 0")
+        check(TrainConfig, vars(self))
 
 
 @dataclass
@@ -546,26 +518,26 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check_file_values(
-    source: str, prefix: str, build: typing.Callable, defaults: dict, values: dict
-):
-    """Build a file's ``values`` over ``defaults`` with ``build`` (a component
-    type) and return the result. An out-of-range value raises a ValueError
-    naming ``source`` (``config file <path>`` or ``checkpoint <path>``) and
-    the dotted key; the first key rejected on its own is named, else the
-    section."""
-    try:
-        return build(**{**defaults, **values})
-    except ValueError as exc:
-        error = exc
-    where = prefix.rstrip(".")
+def _check_keys(source: str, prefix: str, cls: type, values: dict) -> None:
+    """Raise a ValueError naming ``source`` (``config file <path>`` or
+    ``checkpoint <path>``) and the dotted key of the first of ``values``
+    outside the range of its field in ``cls``."""
     for key, value in values.items():
         try:
-            build(**{**defaults, key: value})
-        except ValueError:
-            where = prefix + key
-            break
-    raise ValueError(f"{source}: {where!r} is out of range: {error}")
+            check(cls, {key: value})
+        except ValueError as exc:
+            raise ValueError(f"{source}: {prefix + key!r} is out of range: {exc}") from None
+
+
+def _check_file_values(source: str, prefix: str, cls: type, values: dict, base=None):
+    """A ``cls`` from a file's ``values``, over the fields of ``base`` when
+    given. A value outside its own range names its key (``_check_keys``); a
+    rule that relates two fields names the section."""
+    _check_keys(source, prefix, cls, values)
+    try:
+        return cls(**values) if base is None else replace(base, **values)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {prefix.rstrip('.')!r} is out of range: {exc}") from None
 
 
 def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
@@ -645,10 +617,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         raise ValueError(
             f"{source}: 'params.matrices' has {have} matrices, but 'params.dims' gives {need}"
         )
-    config = _check_file_values(source, "config.", TrainConfig, {}, rec["config"])
-    # Each value is tried alone over the smallest dims, so the one at fault is named.
-    smallest = asdict(ModelDims(d_in=1, d_hidden=1))
-    dims = _check_file_values(source, "params.dims.", ModelDims, smallest, rec["params"]["dims"])
+    config = _check_file_values(source, "config.", TrainConfig, rec["config"])
+    dims = _check_file_values(source, "params.dims.", ModelDims, rec["params"]["dims"])
     bad = architecture_mismatch(rec["config"], dims)
     if bad is not None:
         name, value, have = bad

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .datagen import DomainSpec, ShiftSpec, apply_shift, derive_split_seed
+from .datagen import MAX_EVENTS, DomainSpec, ShiftSpec, apply_shift, derive_split_seed
 from .pipeline import TrainConfig
+from .ranges import check, rule
 
 
 @dataclass(frozen=True)
@@ -21,18 +22,21 @@ class ExperimentConfig:
     domain: DomainSpec
     shift: ShiftSpec
     train: TrainConfig
-    val_events: int = 100
-    test_events: int = 100
+    val_events: int = rule(100, ge=0, le=MAX_EVENTS)
+    test_events: int = rule(100, ge=1, le=MAX_EVENTS)
 
     def __post_init__(self) -> None:
-        if self.val_events < 0 or self.test_events < 1:
-            raise ValueError("val_events must be >= 0 and test_events >= 1")
+        check(ExperimentConfig, vars(self))
         width, dim = len(self.shift.mean_translation), self.domain.feature_dim
         if width not in (0, dim):
             raise ValueError(
                 f"'shift.mean_translation' has length {width}, "
                 f"but 'domain.feature_dim' is {dim}"
             )
+        try:
+            self.target_spec()
+        except ValueError as exc:
+            raise ValueError(f"'shift' moves the target domain out of range: {exc}") from None
 
     def val_spec(self) -> DomainSpec:
         return replace(

@@ -9,11 +9,13 @@ import pytest
 from conftest import parse_report_csv
 from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
+from tard.datagen import MAX_EVENTS, MAX_FEATURE_DIM, MAX_NODES
 from tard.graphs import to_prop_graph
 from tard.model import LAYER_COUNTS, MAX_D_HIDDEN, MAX_LAYERS
 from tard.pipeline import MAX_EPOCHS, MAX_TTT_STEPS, load_checkpoint, predict
 
 SIZE_CEILINGS = [("d_hidden", MAX_D_HIDDEN)] + [(name, MAX_LAYERS) for name in LAYER_COUNTS]
+BIG = 10**400  # an integer beyond the float range
 
 TINY_CONFIG = {
     "seed": 0,
@@ -197,7 +199,62 @@ class TestGen:
                         },
                         ["'domain.mean_translation.1' has the wrong type: 'x'"],
                     ),
+                    (
+                        "first-bad-key-and-its-reason",
+                        {"train": {"ttt_steps": -1, "alpha1": -1}},
+                        ["'train.ttt_steps' is out of range: ttt_steps must be >= 0"],
+                    ),
+                    *(
+                        (
+                            f"{section}-{name}-beyond-float",
+                            {section: {name: value}},
+                            [f"'{section}.{name}' is out of range: {name} must be finite"],
+                        )
+                        for section, name, value in (
+                            ("train", "alpha1", BIG),
+                            ("train", "ttt_lr", BIG),
+                            ("train", "min_delta", BIG),
+                            ("domain", "class_mean_separation", BIG),
+                            ("domain", "mean_translation", [BIG] + [0] * 7),
+                            ("shift", "mean_translation", [0] * 7 + [-BIG]),
+                        )
+                    ),
                 )
+            ),
+            # Through eval, which resolves the whole config but generates nothing.
+            *(
+                pytest.param(
+                    "eval",
+                    payload,
+                    ["bad.json", f"'{key}' is out of range: {key.split('.')[-1]} must be <= {top}"],
+                    id=f"eval-{key}-ceiling",
+                )
+                for key, payload, top in (
+                    ("domain.num_events", {"domain": {"num_events": MAX_EVENTS + 1}}, MAX_EVENTS),
+                    (
+                        "domain.feature_dim",
+                        {"domain": {"feature_dim": MAX_FEATURE_DIM + 1}},
+                        MAX_FEATURE_DIM,
+                    ),
+                    ("domain.size_dist", {"domain": {"size_dist": [1, MAX_NODES + 1]}}, MAX_NODES),
+                    (
+                        "shift.size_scale_factor",
+                        {"shift": {"size_scale_factor": MAX_NODES + 1}},
+                        MAX_NODES,
+                    ),
+                    ("val_events", {"val_events": MAX_EVENTS + 1}, MAX_EVENTS),
+                    ("test_events", {"test_events": MAX_EVENTS + 1}, MAX_EVENTS),
+                )
+            ),
+            pytest.param(
+                "eval",
+                {"domain": {"size_dist": [1, MAX_NODES]}, "shift": {"size_scale_factor": 2}},
+                [
+                    "bad.json",
+                    "'shift' moves the target domain out of range",
+                    f"size_dist must be <= {MAX_NODES}",
+                ],
+                id="eval-target-size_dist-ceiling",
             ),
         ],
     )
