@@ -7,7 +7,11 @@ contrastive objective plus an embedding-statistics alignment penalty.
 """
 
 import ctypes
+import glob
 import os
+import platform
+
+import numpy as np
 
 from .graphs import InvalidEventError, PropGraph, PropagationEvent, to_prop_graph
 from .datagen import DomainSpec, ShiftSpec, apply_shift, generate_domain, read_dataset, write_dataset
@@ -62,6 +66,27 @@ def _keep_freed_arrays_in_heap() -> bool:
 
 _keep_freed_arrays_in_heap()
 
+
+def runtime_key() -> dict:
+    """What a run's bits depend on besides the code and its inputs: the
+    Python and numpy versions and the kernel numpy's bundled OpenBLAS runs.
+
+    OpenBLAS picks that kernel for the CPU at run time (``OPENBLAS_CORETYPE``
+    names another), and the kernels round differently. The core reads
+    ``"unknown"`` where the library or its symbol is missing.
+    """
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        get = lib.scipy_openblas_get_corename64_
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+    except (IndexError, OSError, AttributeError):
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__, "openblas_core": core}
+
+
 __all__ = [
     "ALPHA_GRID",
     "DomainSpec",
@@ -88,6 +113,7 @@ __all__ = [
     "read_dataset",
     "run_ablation",
     "run_sensitivity",
+    "runtime_key",
     "save_checkpoint",
     "shift_mid",
     "to_prop_graph",

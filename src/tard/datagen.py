@@ -38,6 +38,14 @@ MAX_EVENTS = 100_000
 MAX_FEATURE_DIM = 1024
 MAX_NODES = 10_000
 
+#: Ceiling on each scale a feature value is made of: the class-mean
+#: separation, the noise standard deviation and every translation entry, in
+#: the source domain and after a shift. A feature is a translated class mean
+#: plus scaled normal noise, so none comes near 10**8, far inside the float
+#: range; the presets use 3, 1 and 1.5. Without it a noise of 1e308 passed
+#: the rules and numpy's multiply overflowed to inf.
+MAX_FEATURE_SCALE = 10**6
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -51,15 +59,17 @@ class DomainSpec:
 
     num_events: int = rule(ge=1, le=MAX_EVENTS)
     feature_dim: int = rule(ge=1, le=MAX_FEATURE_DIM)
-    class_mean_separation: float = rule(ge=0, real=True)
-    feature_noise_std: float = rule(gt=0, real=True)
+    class_mean_separation: float = rule(ge=0, le=MAX_FEATURE_SCALE, real=True)
+    feature_noise_std: float = rule(gt=0, le=MAX_FEATURE_SCALE, real=True)
     size_dist: tuple[int, int] = rule(ge=1, le=MAX_NODES, each=True)
     branching_bias: float = rule(ge=0, le=1, real=True)
     structure_signal_strength: float = rule(ge=0, real=True)
     seed: int = rule(ge=0)
     class_balance: float = rule(0.5, ge=0, le=1, real=True)
     mean_rotation: float = rule(0.0, real=True)
-    mean_translation: tuple[float, ...] | None = rule(None, real=True, each=True)
+    mean_translation: tuple[float, ...] | None = rule(
+        None, ge=-MAX_FEATURE_SCALE, le=MAX_FEATURE_SCALE, real=True, each=True
+    )
 
     def __post_init__(self) -> None:
         check(DomainSpec, vars(self))
@@ -92,7 +102,9 @@ class ShiftSpec:
     """Source-to-target transformation applied to a DomainSpec."""
 
     rotation_angle: float = rule(0.0, real=True)
-    mean_translation: tuple[float, ...] = rule((), real=True, each=True)
+    mean_translation: tuple[float, ...] = rule(
+        (), ge=-MAX_FEATURE_SCALE, le=MAX_FEATURE_SCALE, real=True, each=True
+    )
     noise_scale_factor: float = rule(1.0, gt=0, real=True)
     size_scale_factor: float = rule(1.0, gt=0, le=MAX_NODES, real=True)
     branching_shift: float = rule(0.0, real=True)

@@ -424,12 +424,40 @@ def _fork_call(i: int):
     return fn(items[i])
 
 
+def _pin_worker(cpus: list[int], started) -> None:
+    """Pool initializer: pin the k-th worker to start to ``cpus[k % len(cpus)]``.
+
+    ``started`` is a shared counter, read and bumped under its lock, so a
+    worker the pool respawns takes the next CPU instead of waiting for one.
+    A CPU that left the process's set since the parent read it leaves the
+    worker where the kernel put it, rather than failing its start, which the
+    pool would retry for ever.
+    """
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    except OSError:
+        pass
+
+
 def fork_map(fn: typing.Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]`` on forked workers, one per usable CPU, in
     input order. ``fn`` and ``items`` reach the workers through the fork, so
     only results are pickled. One CPU or item, a daemonic process (a worker
     itself, which may not have children) and a process running other threads
-    (whose forked child can deadlock) run the plain loop."""
+    (whose forked child can deadlock) run the plain loop.
+
+    Worker k is pinned to the k-th CPU of the parent's affinity mask (modulo
+    its size), where the OS has affinity masks; the parent stays as it was.
+    Left to itself, the kernel of a 2-vCPU VM at times ran both workers on
+    one vCPU while the other sat idle: each worker's wall time was about
+    twice its CPU time, and the pooled ``evaluate`` of the large-cascade
+    benchmark ran at 22-25 events/s, slower than the serial online pass.
+    Pinned, it ran at 43 events/s in the same stretch; where the kernel
+    spreads the workers itself the two are level (``BENCH_pinned_workers.json``).
+    """
     global _FORK_JOB
     workers = min(_usable_cpus(), len(items))
     if (
@@ -439,9 +467,16 @@ def fork_map(fn: typing.Callable, items: Sequence) -> list:
         or threading.active_count() > 1
     ):
         return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("fork")
+    pin = {}
+    if hasattr(os, "sched_setaffinity"):
+        pin = {
+            "initializer": _pin_worker,
+            "initargs": (sorted(os.sched_getaffinity(0)), ctx.Value("i", 0)),
+        }
     _FORK_JOB = (fn, items)
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers)
+        pool = ctx.Pool(workers, **pin)
         try:
             return pool.map(_fork_call, range(len(items)), chunksize=1)
         finally:
@@ -459,7 +494,9 @@ def evaluate(test_set: Sequence[PropagationEvent], model: TrainedModel) -> list[
     pure function of (model, event): reordering or splitting the test set
     cannot change any record. Episodic events that adapt therefore go
     through ``fork_map`` in lockstep batches (``lockstep_batches``), and the
-    records are identical for any worker count or batch cut. The batches go
+    records are identical for any worker count or batch cut. Each worker
+    runs pinned to its own CPU, since unpinned the kernel at times stacked
+    both workers of a 2-vCPU machine on one (``fork_map``). The batches go
     to the pool largest first, since ``fork_map`` hands them out in the
     order given and the largest would otherwise start last, and the records
     come back in input order. Online mode carries the adapted parameters

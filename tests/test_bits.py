@@ -14,16 +14,15 @@ records changed and why.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import hashlib
 import json
-import os
+import platform
 
 import numpy as np
 import pytest
 
 from conftest import make_random_event
+from tard import runtime_key
 from tard.graphs import EDGE_LIST_MIN_NODES
 from tard.pipeline import (
     TrainConfig,
@@ -45,18 +44,6 @@ RECORDS_SHA256 = {
     ("2.4.6", "Nehalem"): "bbc313d9807303302172c56283ce0d5a1768cb0d71f3def6ac79ead0e1a79c3b",
     ("2.4.6", "Katmai"): "97db415e1dabdb305077a18ba41b60ffe8770fe1780b4a3500108ef3d8ae89b5",
 }
-
-
-def openblas_core() -> str:
-    """The kernel numpy's bundled OpenBLAS runs, or "unknown"."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
-        get = lib.scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    get.argtypes, get.restype = [], ctypes.c_char_p
-    return get().decode()
 
 
 def _inputs() -> tuple[list, list]:
@@ -88,7 +75,15 @@ def test_records_match_the_pinned_bits():
     # The episodic run adapts its small events in batches of several.
     sizes = [e.num_nodes for e in _inputs()[1]]
     assert max(len(batch) for batch in lockstep_batches(sizes)) > 1
-    key = (np.__version__, openblas_core())
+    runtime = runtime_key()
+    key = (runtime["numpy"], runtime["openblas_core"])
     if key not in RECORDS_SHA256:
         pytest.skip(f"no pinned records digest for numpy {key[0]} with OpenBLAS core {key[1]}")
     assert records_digest() == RECORDS_SHA256[key]
+
+
+def test_runtime_key_names_python_numpy_and_the_core():
+    key = runtime_key()
+    assert key["python"] == platform.python_version()
+    assert key["numpy"] == np.__version__
+    assert isinstance(key["openblas_core"], str) and key["openblas_core"]

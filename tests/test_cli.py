@@ -9,13 +9,15 @@ import pytest
 from conftest import parse_report_csv
 from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
-from tard.datagen import MAX_EVENTS, MAX_FEATURE_DIM, MAX_NODES
+from tard.datagen import MAX_EVENTS, MAX_FEATURE_DIM, MAX_FEATURE_SCALE, MAX_NODES
 from tard.graphs import to_prop_graph
 from tard.model import LAYER_COUNTS, MAX_D_HIDDEN, MAX_LAYERS
 from tard.pipeline import MAX_EPOCHS, MAX_TTT_STEPS, load_checkpoint, predict
 
 SIZE_CEILINGS = [("d_hidden", MAX_D_HIDDEN)] + [(name, MAX_LAYERS) for name in LAYER_COUNTS]
 BIG = 10**400  # an integer beyond the float range
+SCALE_RANGE = f"lie in [0, {MAX_FEATURE_SCALE}]"
+TRANSLATION_RANGE = f"lie in [-{MAX_FEATURE_SCALE}, {MAX_FEATURE_SCALE}]"
 
 TINY_CONFIG = {
     "seed": 0,
@@ -208,16 +210,48 @@ class TestGen:
                         (
                             f"{section}-{name}-beyond-float",
                             {section: {name: value}},
-                            [f"'{section}.{name}' is out of range: {name} must be finite"],
+                            [f"'{section}.{name}' is out of range: {name} must {reason}"],
                         )
-                        for section, name, value in (
-                            ("train", "alpha1", BIG),
-                            ("train", "ttt_lr", BIG),
-                            ("train", "min_delta", BIG),
-                            ("domain", "class_mean_separation", BIG),
-                            ("domain", "mean_translation", [BIG] + [0] * 7),
-                            ("shift", "mean_translation", [0] * 7 + [-BIG]),
+                        for section, name, value, reason in (
+                            ("train", "alpha1", BIG, "be finite"),
+                            ("train", "ttt_lr", BIG, "be finite"),
+                            ("train", "min_delta", BIG, "be finite"),
+                            ("domain", "class_mean_separation", BIG, SCALE_RANGE),
+                            ("domain", "mean_translation", [BIG] + [0] * 7, TRANSLATION_RANGE),
+                            ("shift", "mean_translation", [0] * 7 + [-BIG], TRANSLATION_RANGE),
                         )
+                    ),
+                    # Finite values whose features would overflow the generator.
+                    *(
+                        (
+                            f"{section}-{name}-feature-scale",
+                            {section: {name: value}},
+                            [f"'{section}.{name}' is out of range: {name} must {reason}"],
+                        )
+                        for section, name, value, reason in (
+                            ("domain", "feature_noise_std", 1e308, f"be <= {MAX_FEATURE_SCALE}"),
+                            ("domain", "class_mean_separation", 1e308, SCALE_RANGE),
+                            ("domain", "mean_translation", [1e308] * 8, TRANSLATION_RANGE),
+                            ("shift", "mean_translation", [-1e308] * 8, TRANSLATION_RANGE),
+                        )
+                    ),
+                    # In range, but the preset shift's 1.25x noise and -1.5
+                    # translation move the target domain past the ceiling.
+                    (
+                        "shifted-noise-scale",
+                        {"domain": {"feature_noise_std": MAX_FEATURE_SCALE}},
+                        [
+                            "'shift' moves the target domain out of range",
+                            f"feature_noise_std must be <= {MAX_FEATURE_SCALE}",
+                        ],
+                    ),
+                    (
+                        "shifted-translation",
+                        {"domain": {"mean_translation": [-MAX_FEATURE_SCALE] * 8}},
+                        [
+                            "'shift' moves the target domain out of range",
+                            f"mean_translation must {TRANSLATION_RANGE}",
+                        ],
                     ),
                 )
             ),

@@ -457,6 +457,37 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
         assert pipeline._FORK_JOB is None
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs affinity masks and at least 2 CPUs",
+    )
+    def test_each_worker_runs_on_its_own_cpu(self, monkeypatch):
+        """Two items that wait for each other land on both workers; each
+        worker may run on one CPU of the parent's set, and no two share it."""
+        parent = os.sched_getaffinity(0)
+        _cpus(monkeypatch, 2)
+        both = multiprocessing.get_context("fork").Barrier(2, timeout=30)
+        got = pipeline.fork_map(lambda _: (both.wait(), os.sched_getaffinity(0))[1], range(2))
+        assert all(len(cpus) == 1 and cpus <= parent for cpus in got)
+        assert got[0] != got[1]
+        assert os.sched_getaffinity(0) == parent
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs affinity masks")
+    def test_more_workers_than_cpus_share_the_one(self, monkeypatch):
+        """Two workers on a one-CPU affinity both pin to that CPU, and the
+        call returns every result in order."""
+        parent = os.sched_getaffinity(0)
+        one = {min(parent)}
+        _cpus(monkeypatch, 2)
+        os.sched_setaffinity(0, one)
+        try:
+            got = pipeline.fork_map(lambda x: (x * x, os.sched_getaffinity(0)), range(5))
+        finally:
+            os.sched_setaffinity(0, parent)
+        assert got == [(x * x, one) for x in range(5)]
+        assert multiprocessing.active_children() == []
+
     def test_nested_evaluate_runs_serially_in_a_worker(self, separable_model, monkeypatch):
         """Inside a (daemonic) worker, evaluate takes the plain loop and
         gives the serial records."""
