@@ -25,7 +25,6 @@ from .pipeline import (
     _check_keys,
     _check_record,
     architecture_mismatch,
-    evaluate,
     fork_map,
     load_checkpoint,
     save_checkpoint,
@@ -33,13 +32,12 @@ from .pipeline import (
 )
 from .presets import ExperimentConfig, shift_mid
 from .reporting import (
-    ABLATION_VARIANTS,
     SWEEPABLE,
-    compute_metrics,
     config_fingerprint,
     emit_report,
     run_ablation,
     run_sensitivity,
+    run_variants,
 )
 
 TRAIN_FILE = "train.jsonl"
@@ -66,8 +64,8 @@ def _load_config_file(path: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise ValueError(f"config file {path}: unreadable as JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     _check_record(f"config file {path}", "", data, CONFIG_RECORD, partial=True)
@@ -203,10 +201,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     test_events = read_dataset(args.test_data)
     try:
-        records = evaluate(test_events, model)
+        result = run_variants(model, test_events, {"eval": {}})
     except ValueError as exc:  # the test set does not fit the checkpoint
         raise ValueError(f"{args.test_data}: {exc}") from None
-    report = compute_metrics(records, fingerprint=fingerprint, seed=model.config.seed)
+    records, report = result.records["eval"], result.metrics["eval"]
 
     out = _out_dir(args)
     with (out / "records.jsonl").open("w", encoding="utf-8") as fh:
@@ -235,7 +233,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         seed = cfg.train.seed + i
         _progress(f"ablation seed {seed} ({i + 1}/{args.seeds}) ...")
         result = run_ablation(train_events, test_events, replace(cfg.train, seed=seed))
-        return [(name, result.metrics[name]) for name in ABLATION_VARIANTS]
+        return list(result.metrics.items())
 
     rows = [row for seed_rows in fork_map(one_seed, range(args.seeds)) for row in seed_rows]
     out = _out_dir(args)

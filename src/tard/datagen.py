@@ -282,14 +282,16 @@ def read_dataset(path: str | Path) -> list[PropagationEvent]:
     events: list[PropagationEvent] = []
     first_line: dict[str, int] = {}
     expected_dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
                 raise InvalidEventError(f"{path}: line {line_no}: blank line in dataset")
             try:
+                if not line.isascii():  # bytes that are not UTF-8 came in as surrogates
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 rec = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
                 raise InvalidEventError(f"{path}: line {line_no}: invalid JSON ({exc})") from exc
             try:
                 event = event_from_json_dict(rec)

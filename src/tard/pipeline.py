@@ -637,8 +637,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     dotted key."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unreadable checkpoint {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise ValueError(f"checkpoint {path}: unreadable as JSON: {exc}") from None
     source = f"checkpoint {path}"
     fmt = rec.get("format") if isinstance(rec, dict) else None
     if fmt != CHECKPOINT_FORMAT:

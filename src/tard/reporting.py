@@ -1,5 +1,5 @@
-"""Metrics (accuracy, macro-F1, per-class F1), the ablation runner, the
-hyperparameter sensitivity sweep, and CSV/JSON/SVG report emission.
+"""Metrics (accuracy, macro-F1, per-class F1), the variants runner behind the
+ablation and the sensitivity sweeps, and CSV/JSON/SVG report emission.
 
 All emitted files embed a short fingerprint of the resolved configuration so
 a result can always be traced back to the exact settings that produced it.
@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .pipeline import (
 VARIANT_FULL = "tard"
 VARIANT_NO_CONSTRAINT = "tard-constraint"
 VARIANT_NO_TTT = "tard-ttt"
-ABLATION_VARIANTS = (VARIANT_FULL, VARIANT_NO_CONSTRAINT, VARIANT_NO_TTT)
+#: Full TARD, no alignment constraint, no test-time training: one checkpoint.
+ABLATION = {VARIANT_FULL: {}, VARIANT_NO_CONSTRAINT: {"alpha2": 0.0}, VARIANT_NO_TTT: {"ttt_steps": 0}}
 
 # Sweep grid: nine points spanning [0, 10], log-spaced plus zero.
 ALPHA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -116,38 +117,39 @@ def compute_metrics(
 
 
 @dataclass
-class AblationResult:
-    """Three variants sharing one trained checkpoint: full TARD, no
-    alignment constraint (alpha2 = 0), no test-time training (ttt_steps = 0)."""
+class VariantsResult:
+    """Adaptation variants of one trained checkpoint: metrics and records by
+    variant name, in the order the variants were given."""
 
     model: TrainedModel
-    metrics: dict[str, MetricsReport]
-    records: dict[str, list[EventRecord]]
+    metrics: dict[Hashable, MetricsReport]
+    records: dict[Hashable, list[EventRecord]]
+
+
+def run_variants(
+    model: TrainedModel, test_set: Sequence[PropagationEvent], overrides: Mapping
+) -> VariantsResult:
+    """Evaluate ``with_config(model, **o)`` for each override set ``o``, named
+    by any hashable, and score it under its config fingerprint. The variants
+    run side by side in one ``fork_map``; a single variant runs in-process,
+    where its ``evaluate`` pools the events. Records are the same either way."""
+
+    def run(o: Mapping) -> tuple[MetricsReport, list[EventRecord]]:
+        variant = with_config(model, **o)
+        recs = evaluate(test_set, variant)
+        return compute_metrics(recs, config_fingerprint(variant.config), model.config.seed), recs
+
+    metrics, records = zip(*fork_map(run, list(overrides.values())))
+    return VariantsResult(model, dict(zip(overrides, metrics)), dict(zip(overrides, records)))
 
 
 def run_ablation(
     train_set: Sequence[PropagationEvent],
     test_set: Sequence[PropagationEvent],
     config: TrainConfig,
-) -> AblationResult:
-    """Train once, evaluate three adaptation variants on the same checkpoint."""
-    model = train_phase(train_set, config)
-    variants = {
-        VARIANT_FULL: model,
-        VARIANT_NO_CONSTRAINT: with_config(model, alpha2=0.0),
-        VARIANT_NO_TTT: with_config(model, ttt_steps=0),
-    }
-    metrics: dict[str, MetricsReport] = {}
-    records: dict[str, list[EventRecord]] = {}
-    for name, variant in variants.items():
-        recs = evaluate(test_set, variant)
-        records[name] = recs
-        metrics[name] = compute_metrics(
-            recs,
-            fingerprint=config_fingerprint(variant.config),
-            seed=config.seed,
-        )
-    return AblationResult(model=model, metrics=metrics, records=records)
+) -> VariantsResult:
+    """Train once, evaluate the three ablation variants on the same checkpoint."""
+    return run_variants(train_phase(train_set, config), test_set, ABLATION)
 
 
 def run_sensitivity(
@@ -158,22 +160,19 @@ def run_sensitivity(
 ) -> list[tuple[float, MetricsReport]]:
     """Evaluate the nine-point grid for alpha1 or alpha2.
 
-    alpha1 is a training-time weight, so each grid value trains afresh.
-    alpha2 only steers adaptation; one shared checkpoint, trained before the
-    grid values fork, serves all values.
+    alpha2 only steers adaptation, so its grid values are ``run_variants``
+    of one checkpoint. alpha1 is a training-time weight: each grid value
+    trains afresh, the values side by side through ``fork_map``.
     """
     if which not in SWEEPABLE:
         raise ValueError(f"which must be one of {SWEEPABLE}, got {which!r}")
-    shared = train_phase(train_set, base_config) if which == "alpha2" else None
+    if which == "alpha2":
+        grid = {v: {"alpha2": v} for v in ALPHA_GRID}
+        return list(run_variants(train_phase(train_set, base_config), test_set, grid).metrics.items())
 
     def row(value: float) -> tuple[float, MetricsReport]:
-        if shared is None:
-            model = train_phase(train_set, replace(base_config, alpha1=value))
-        else:
-            model = with_config(shared, alpha2=value)
-        recs = evaluate(test_set, model)
-        fingerprint = config_fingerprint(model.config)
-        return value, compute_metrics(recs, fingerprint=fingerprint, seed=base_config.seed)
+        model = train_phase(train_set, replace(base_config, alpha1=value))
+        return value, run_variants(model, test_set, {value: {}}).metrics[value]
 
     return fork_map(row, ALPHA_GRID)
 

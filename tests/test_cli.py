@@ -661,6 +661,44 @@ class TestEval:
         assert named in err
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000  # nested beyond the JSON parser's recursion limit
+NOT_UTF8 = b'{"seed": 0, "\xff": 1}\n'
+
+
+class TestUnreadableFile:
+    """A file nested too deep to parse, or holding a byte that is not UTF-8,
+    exits 2 naming the file, and for a dataset the line, not with a traceback."""
+
+    @pytest.mark.parametrize("content", [DEEP, NOT_UTF8], ids=["deep", "not-utf8"])
+    @pytest.mark.parametrize(
+        "role, named",
+        [
+            ("gen-config", "config file {bad}: unreadable as JSON: "),
+            ("eval-config", "config file {bad}: unreadable as JSON: "),
+            ("checkpoint", "checkpoint {bad}: unreadable as JSON: "),
+            ("test-data", "{bad}: line 2: invalid JSON ("),
+        ],
+        ids=["gen-config", "eval-config", "checkpoint", "test-data"],
+    )
+    def test_exits_2_naming_the_file(self, workdir, tmp_path, capsys, role, named, content):
+        bad = tmp_path / "bad"
+        test_data = workdir["data"] / "test.jsonl"
+        if role == "test-data":  # after a good first line
+            content = test_data.read_bytes().splitlines(keepends=True)[0] + content
+        bad.write_bytes(content)
+        ckpt = str(workdir["checkpoint"])
+        args = {
+            "gen-config": ["gen", "--config", str(bad)],
+            "eval-config": ["eval", ckpt, str(test_data), "--config", str(bad)],
+            "checkpoint": ["eval", str(bad), str(test_data)],
+            "test-data": ["eval", ckpt, str(bad)],
+        }[role]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named.format(bad=bad)}" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestAblateAndSweep:
     def test_ablation_rows_and_determinism(self, workdir, tmp_path, capsys):
         out_a = tmp_path / "ab1"

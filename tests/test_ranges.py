@@ -1,6 +1,6 @@
-"""Field rules, and a seeded mutation fuzz of the two files whose values they
-check: a config file through ``cli.resolve_config`` and a checkpoint through
-``load_checkpoint``."""
+"""Field rules, and a seeded mutation fuzz of the input files: a config file
+through ``cli.resolve_config``, a checkpoint through ``load_checkpoint`` and a
+test set through ``read_dataset``."""
 
 import json
 import random
@@ -11,7 +11,8 @@ from dataclasses import asdict, fields, is_dataclass, replace
 import pytest
 
 from tard.cli import build_parser, resolve_config
-from tard.datagen import DomainSpec, ShiftSpec, generate_domain
+from tard.datagen import DomainSpec, ShiftSpec, event_to_json_dict, generate_domain, read_dataset
+from tard.graphs import InvalidEventError
 from tard.model import ModelDims
 from tard.pipeline import TrainConfig, checkpoint_record, load_checkpoint, train_phase
 from tard.presets import ExperimentConfig, shift_mid
@@ -136,3 +137,27 @@ def test_checkpoint_mutations_load_or_name_the_key(tmp_path):
         must_load,
     )
     assert loaded > 50 and rejected > 200
+
+
+def test_dataset_mutations_load_or_name_the_line(tmp_path):
+    """Each mutation of a one-line test set loads, or names the file and line
+    1. So do a line nested beyond the JSON parser's recursion limit and one
+    with a byte that is not UTF-8. A finite feature, 1e308 included, loads."""
+    domain = replace(shift_mid(0).domain, num_events=1, feature_dim=2, size_dist=(3, 3))
+    record = event_to_json_dict(generate_domain(domain)[0])
+    test_set = tmp_path / "test.jsonl"
+    lines = [json.dumps(_mutated(record, *m)).encode() for m in _mutations(record, 2)]
+    lines += [b"[" * 100_000 + b"]" * 100_000, json.dumps(record).encode().replace(b"id", b"i\xffd")]
+    loaded = rejected = 0
+    for line in lines:
+        test_set.write_bytes(line + b"\n")
+        try:
+            read_dataset(test_set)
+            loaded += 1
+        except InvalidEventError as exc:
+            assert str(exc).startswith(f"{test_set}: line 1: "), str(exc)
+            rejected += 1
+    assert loaded > 30 and rejected > 200
+    for value in (1e308, -1e308):
+        test_set.write_text(json.dumps(_mutated(record, ("features", 2, 1), value)) + "\n")
+        assert read_dataset(test_set)[0].features[2, 1] == value

@@ -13,10 +13,10 @@ from tard import pipeline, reporting
 from tard.datagen import generate_domain
 from tard.graphs import to_prop_graph
 from tard.model import GROUP_MAIN, GROUP_SHARED, GROUP_SSL, group_bytes
-from tard.pipeline import EventRecord, TrainConfig, predict, train_phase
+from tard.pipeline import EventRecord, TrainConfig, evaluate, predict, train_phase, with_config
 from tard.presets import shift_mid
 from tard.reporting import (
-    ABLATION_VARIANTS,
+    ABLATION,
     ALPHA_GRID,
     VARIANT_FULL,
     VARIANT_NO_CONSTRAINT,
@@ -28,6 +28,7 @@ from tard.reporting import (
     emit_report,
     run_ablation,
     run_sensitivity,
+    run_variants,
 )
 
 
@@ -82,6 +83,11 @@ def _tiny_sets():
 
 
 TINY_CONFIG = TrainConfig(epochs=2, d_hidden=4, ttt_steps=2, seed=3)
+
+
+def _bits(records):
+    """Records as JSON dicts without their wall time."""
+    return [{k: v for k, v in r.to_json_dict().items() if k != "wall_time_s"} for r in records]
 
 
 class TestComputeMetrics:
@@ -207,7 +213,7 @@ class TestEmitReport:
     def test_thirty_row_files_under_ten_kb(self, tmp_path):
         rows = [
             (f"{v}/s{s}", _report(0.61234567, 0.59876543, seed=s))
-            for v in ABLATION_VARIANTS
+            for v in ABLATION
             for s in range(10)
         ]
         for fmt in ("csv", "svg"):
@@ -227,8 +233,8 @@ class TestRunAblation:
     def test_three_variants_from_one_checkpoint(self):
         train, test = _tiny_sets()
         result = run_ablation(train, test, TINY_CONFIG)
-        assert set(result.metrics) == set(ABLATION_VARIANTS)
-        assert set(result.records) == set(ABLATION_VARIANTS)
+        assert set(result.metrics) == set(ABLATION)
+        assert set(result.records) == set(ABLATION)
         for recs in result.records.values():
             assert len(recs) == len(test)
         # all three report the shared seed, distinct adaptation fingerprints
@@ -273,8 +279,6 @@ class TestRunSensitivity:
         rows = run_sensitivity(train, test, cfg, "alpha1")
         assert len(rows) == 9
         zero_rep = rows[0][1]
-        from tard.pipeline import evaluate
-
         supervised = train_phase(train, replace(cfg, alpha1=0.0))
         recs = evaluate(test, supervised)
         direct = compute_metrics(
@@ -282,16 +286,26 @@ class TestRunSensitivity:
         )
         assert direct == zero_rep
 
-    @pytest.mark.parametrize("which", ["alpha1", "alpha2"])
+    @pytest.mark.parametrize("which", ["alpha1", "alpha2", "ablation"])
     def test_grid_is_the_same_pooled_and_serial(self, monkeypatch, pools, which):
+        """One fork map, the same rows on one CPU and on two; the ablation's
+        records are, apart from wall time, each variant's own ``evaluate``."""
         train, test = _tiny_sets()
         cfg = TrainConfig(epochs=1, d_hidden=4, ttt_steps=1, seed=5)
         rows = {}
         for cpus in (1, 2):
             monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-            rows[cpus] = run_sensitivity(train, test, cfg, which)
+            if which == "ablation":
+                result = run_ablation(train, test, cfg)
+                rows[cpus] = result.metrics, {v: _bits(r) for v, r in result.records.items()}
+            else:
+                rows[cpus] = run_sensitivity(train, test, cfg, which)
         assert pools == ["fork"]
         assert rows[1] == rows[2]
+        if which == "ablation":
+            model = result.model
+            oracle = {v: _bits(evaluate(test, with_config(model, **o))) for v, o in ABLATION.items()}
+            assert rows[1][1] == oracle
 
     def test_rejects_unknown_hyperparameter(self):
         train, test = _tiny_sets()
@@ -317,16 +331,25 @@ class TestShiftedBenchmark:
             )
         assert chains >= 7
 
-    def test_alpha2_sweep_peaks_off_the_grid_extremes(self):
+    def test_alpha2_sweep_peaks_off_the_grid_extremes(self, shift_benchmark):
         # The alignment weight trades off against the self-supervised term,
         # so the best accuracy should be attainable at an interior grid
         # point in most seeds rather than only at 0 or the largest value.
+        # The fixture's checkpoints for seeds 0-4 are the ones this sweep
+        # trains, and two of its variants are grid points already: alpha2 = 0
+        # and shift_mid's own alpha2.
+        results, _ = shift_benchmark
+        reused = {0.0: VARIANT_NO_CONSTRAINT, shift_mid(0).train.alpha2: VARIANT_FULL}
+        assert set(reused) < set(ALPHA_GRID)
         interior_best = 0
         for seed in range(5):
             exp = shift_mid(seed)
-            train = generate_domain(exp.domain)
+            result = results[seed]
+            assert result.model.config == exp.train
             test = generate_domain(exp.target_spec())
-            rows = run_sensitivity(train, test, exp.train, "alpha2")
-            accs = [m.accuracy for _, m in rows]
+            rest = {v: {"alpha2": v} for v in ALPHA_GRID if v not in reused}
+            metrics = run_variants(result.model, test, rest).metrics
+            metrics.update({v: result.metrics[name] for v, name in reused.items()})
+            accs = [metrics[v].accuracy for v in ALPHA_GRID]
             interior_best += max(accs) in accs[1:-1]
         assert interior_best >= 3
