@@ -17,13 +17,9 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .datagen import DomainSpec, ShiftSpec, generate_domain, read_dataset, write_dataset
-from .graphs import InvalidEventError
 from .pipeline import (
     ADAPTATION_MODES,
     TrainConfig,
-    _check_file_values,
-    _check_keys,
-    _check_record,
     architecture_mismatch,
     fork_map,
     load_checkpoint,
@@ -31,6 +27,7 @@ from .pipeline import (
     train_phase,
 )
 from .presets import ExperimentConfig, shift_mid
+from .ranges import check_file_values, check_record
 from .reporting import (
     SWEEPABLE,
     config_fingerprint,
@@ -66,9 +63,7 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file not found: {path}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
         raise ValueError(f"config file {path}: unreadable as JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    _check_record(f"config file {path}", "", data, CONFIG_RECORD, partial=True)
+    check_record(f"config file {path}", "", data, CONFIG_RECORD, partial=True)
     return data
 
 
@@ -87,21 +82,20 @@ def resolve_config(
     path = getattr(args, "config", None)
     source = f"config file {path}"
     file_cfg = _load_config_file(path) if path else {}
+    check_file_values(source, "", TrainConfig, {"seed": file_cfg.get("seed", 0)})
     seed_flag = getattr(args, "seed", None)
     seed = file_cfg.get("seed", 0) if seed_flag is None else seed_flag
-    if seed_flag is None:
-        _check_keys(source, "", TrainConfig, {"seed": seed})
     base = shift_mid(seed)
     if train is not None:
         base = replace(base, train=train)
     sections = {
-        section: _check_file_values(
+        section: check_file_values(
             source, f"{section}.", cls, file_cfg.get(section, {}), getattr(base, section)
         )
         for section, cls in CONFIG_SECTIONS.items()
     }
     counts = {k: file_cfg[k] for k in ("val_events", "test_events") if k in file_cfg}
-    cfg = _check_file_values(source, "", ExperimentConfig, counts, base)
+    cfg = check_file_values(source, "", ExperimentConfig, counts, base)
     if seed_flag is not None:
         sections["domain"] = replace(sections["domain"], seed=seed_flag)
     flags = {f: getattr(args, f) for f in TRAIN_FLAGS if getattr(args, f, None) is not None}
@@ -327,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvalidEventError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:  # InvalidEventError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import InvalidEventError, PropagationEvent
-from .ranges import check, rule
+from .ranges import Numbers, check, check_record, rule
 
 ROOT_FEATURE_MARK = 1.0  # added to the last coordinate of the root's features
 
@@ -212,46 +213,23 @@ def event_to_json_dict(event: PropagationEvent) -> dict:
     }
 
 
-def event_from_json_dict(rec: dict) -> PropagationEvent:
-    missing = {"id", "label", "edges", "features"} - set(rec)
-    if missing:
-        raise InvalidEventError(f"missing fields {sorted(missing)}")
+#: The keys of a dataset line and the type of each; other keys are ignored.
+#: The label's range is its rule on ``PropagationEvent``.
+EVENT_LINE = {"id": str, "label": int, "edges": tuple[tuple[int, int], ...], "features": Numbers(2)}
+
+
+def event_from_json_dict(rec: dict, source: str = "event") -> PropagationEvent:
+    """The event of one parsed dataset line; a defect raises an
+    InvalidEventError that names ``source`` and the dotted key at fault."""
+    if type(rec) is dict:
+        rec = {key: rec[key] for key in EVENT_LINE if key in rec}
     try:
-        features = np.asarray(rec["features"])
+        check_record(source, "", rec, EVENT_LINE)
+        return PropagationEvent(**rec, num_nodes=len(rec["features"]))
+    except InvalidEventError as exc:  # the event's own checks name no source
+        raise InvalidEventError(f"{source}: {exc}") from None
     except ValueError as exc:
-        raise InvalidEventError(f"bad feature matrix: {exc}") from exc
-    if features.ndim != 2:
-        raise InvalidEventError("features must be a list of equal-length rows")
-    # A JSON boolean among numbers reads as 0 or 1 in an int or float array, so
-    # the entries' types are looked at only when one of those values appears.
-    if features.dtype.kind not in "iuf" or (
-        ((features == 0) | (features == 1)).any()
-        and any(type(v) is bool for row in rec["features"] for v in row)
-    ):
-        raise InvalidEventError("'features' must hold only JSON numbers")
-    if not isinstance(rec["id"], str):
-        raise InvalidEventError(f"'id' is {rec['id']!r}, not a JSON string")
-    # type(...) is int: a JSON integer, not a float, boolean or string.
-    if type(rec["label"]) is not int:
-        raise InvalidEventError(f"'label' is {rec['label']!r}, not a JSON integer")
-    if not -(2**63) <= rec["label"] < 2**63:
-        raise InvalidEventError("'label' does not fit a 64-bit integer")
-    try:
-        if type(rec["edges"]) is not list:
-            raise TypeError
-        edges = [(s, t) for s, t in rec["edges"]]
-    except (TypeError, ValueError):
-        raise InvalidEventError("'edges' is not a list of [source, target] pairs") from None
-    for s, t in edges:
-        if type(s) is not int or type(t) is not int:
-            raise InvalidEventError(f"'edges' entry [{s!r}, {t!r}] is not two JSON integers")
-    return PropagationEvent(
-        id=rec["id"],
-        label=rec["label"],
-        num_nodes=features.shape[0],
-        edges=edges,
-        features=features,
-    )
+        raise InvalidEventError(exc) from None
 
 
 def write_dataset(events: Sequence[PropagationEvent], path: str | Path) -> None:
@@ -280,33 +258,27 @@ def read_dataset(path: str | Path) -> list[PropagationEvent]:
     unique: each keys its event's adaptation randomness and its record."""
     path = Path(path)
     events: list[PropagationEvent] = []
-    first_line: dict[str, int] = {}
-    expected_dim: int | None = None
+    seen: dict[str, int] = {}  # the line of each id
     with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise InvalidEventError(f"{path}: line {line_no}: blank line in dataset")
+            source = f"{path}: line {line_no}"
+            if not line.strip():
+                raise InvalidEventError(f"{source}: blank line in dataset")
             try:
                 if not line.isascii():  # bytes that are not UTF-8 came in as surrogates
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                rec = json.loads(stripped)
+                rec = json.loads(line)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
-                raise InvalidEventError(f"{path}: line {line_no}: invalid JSON ({exc})") from exc
-            try:
-                event = event_from_json_dict(rec)
-            except (InvalidEventError, ValueError, TypeError) as exc:
-                raise InvalidEventError(f"{path}: line {line_no}: {exc}") from exc
-            if expected_dim is None:
-                expected_dim = event.feature_dim
-            elif event.feature_dim != expected_dim:
+                raise InvalidEventError(f"{source}: invalid JSON ({exc})") from exc
+            event = event_from_json_dict(rec, source)
+            if events and event.feature_dim != events[0].feature_dim:
                 raise InvalidEventError(
-                    f"{path}: line {line_no}: feature dim {event.feature_dim} != {expected_dim}"
+                    f"{source}: 'features' has {event.feature_dim} columns, "
+                    f"but line 1's has {events[0].feature_dim}"
                 )
-            if event.id in first_line:
-                raise InvalidEventError(
-                    f"{path}: line {line_no}: id {event.id!r} repeats line {first_line[event.id]}"
-                )
-            first_line[event.id] = line_no
+            if event.id in seen:
+                shown = reprlib.repr(event.id)
+                raise InvalidEventError(f"{source}: 'id' is {shown}, as on line {seen[event.id]}")
+            seen[event.id] = line_no
             events.append(event)
     return events

@@ -10,18 +10,26 @@ set of entries :func:`normalized_entries` builds.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import InitVar, dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .nn import Blocks
+from .ranges import check, rule
 
 AdjacencyMode = Literal["undirected", "directed"]
 
 
 class InvalidEventError(ValueError):
     """An event's edges or features violate the data contract."""
+
+
+#: Most classes a model may have, one more than the largest label an event
+#: may hold: 16 times Twitter15/16's 4 (the presets use 2). A label of 10**9
+#: once made ``tard train`` ask for 119 GiB for its output layer.
+MAX_CLASSES = 64
 
 
 @dataclass
@@ -34,35 +42,32 @@ class PropagationEvent:
     """
 
     id: str
-    label: int
+    label: int = rule(ge=0, le=MAX_CLASSES - 1)
     num_nodes: int
     edges: list[tuple[int, int]]
     features: np.ndarray
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.num_nodes < 1:
-            raise InvalidEventError(f"event {self.id!r}: num_nodes must be >= 1")
-        if self.label < 0:
-            raise InvalidEventError(f"event {self.id!r}: negative label {self.label}")
-        self.edges = [(int(s), int(t)) for s, t in self.edges]
-        for s, t in self.edges:
-            if not (0 <= s < self.num_nodes and 0 <= t < self.num_nodes):
-                raise InvalidEventError(
-                    f"event {self.id!r}: edge ({s}, {t}) out of range for "
-                    f"{self.num_nodes} nodes"
-                )
-            if s == t:
-                raise InvalidEventError(f"event {self.id!r}: self-edge at node {s}")
-        if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
+        try:
+            check(PropagationEvent, {"label": self.label})
+        except ValueError as exc:
+            raise InvalidEventError(f"'label' is out of range: {exc}") from None
+        n, shape = self.num_nodes, self.features.shape
+        if len(shape) != 2 or shape[0] != n or min(shape) < 1:
             raise InvalidEventError(
-                f"event {self.id!r}: feature matrix shape {self.features.shape} "
-                f"does not match num_nodes={self.num_nodes}"
+                f"'features' has shape {shape}: an event needs at least one node, "
+                f"and one row of at least one value for each of its {n} nodes"
             )
-        if self.features.shape[1] < 1:
-            raise InvalidEventError(f"event {self.id!r}: empty feature rows")
         if not np.all(np.isfinite(self.features)):
-            raise InvalidEventError(f"event {self.id!r}: non-finite feature values")
+            raise InvalidEventError("'features' has non-finite values")
+        self.edges = [(int(s), int(t)) for s, t in self.edges]
+        for i, (s, t) in enumerate(self.edges):
+            if not (0 <= s < n and 0 <= t < n) or s == t:
+                raise InvalidEventError(
+                    f"'edges.{i}' is {reprlib.repr([s, t])}, not two different nodes "
+                    f"among the {n} rows of 'features'"
+                )
 
     @property
     def feature_dim(self) -> int:

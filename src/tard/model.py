@@ -28,12 +28,13 @@ them all at once, event k's rows against parameter row k.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import GraphBatch, PropGraph
+from .graphs import MAX_CLASSES, GraphBatch, PropGraph
 from .nn import (
     Blocks,
     Parameter,
@@ -72,7 +73,7 @@ class ModelDims:
 
     d_in: int = rule(ge=1)
     d_hidden: int = rule(ge=1, le=MAX_D_HIDDEN)
-    num_classes: int = rule(2, ge=2)
+    num_classes: int = rule(2, ge=2, le=MAX_CLASSES)
     shared_layers: int = rule(1, ge=1, le=MAX_LAYERS)
     main_layers: int = rule(1, ge=1, le=MAX_LAYERS)
     ssl_layers: int = rule(1, ge=1, le=MAX_LAYERS)
@@ -530,23 +531,6 @@ def _matrix_record(p: Parameter) -> dict:
     return {"shape": list(p.value.shape), "data": p.value.reshape(-1).tolist()}
 
 
-def _checked_array(name: str, data: list, shape: tuple[int, ...]) -> np.ndarray:
-    """A checkpoint entry, a list (of lists) of JSON numbers, as a float64
-    array of ``shape``; ragged rows, a wrong size or a non-finite value
-    raise a ValueError naming the entry."""
-    try:
-        value = np.array(data, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name!r} has non-finite values") from None
-    except ValueError:  # ragged rows
-        raise ValueError(f"{name!r} does not fit shape {shape}") from None
-    if value.size != int(np.prod(shape)):
-        raise ValueError(f"{name!r} does not fit shape {shape}")
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name!r} has non-finite values")
-    return value.reshape(shape)
-
-
 def params_to_record(params: TardParams) -> dict:
     """JSON-safe record of dims plus all named matrices (row-major values)."""
     return {
@@ -566,9 +550,12 @@ def params_from_record(rec: dict) -> TardParams:
         if name not in mats:
             raise ValueError(f"{key!r} is missing")
         if tuple(mats[name]["shape"]) != shape:
-            have = mats[name]["shape"]
+            have = reprlib.repr(mats[name]["shape"])
             raise ValueError(f"'{key}.shape' is {have}, but 'params.dims' gives {list(shape)}")
-        return _checked_array(f"{key}.data", mats[name]["data"], shape).ravel()
+        data = np.asarray(mats[name]["data"], dtype=np.float64)
+        if data.size != shape[0] * shape[1]:
+            raise ValueError(f"'{key}.data' does not fit shape {shape}")
+        return data
 
     entries = [entry for group in layout(dims).values() for entry in group]
     flat = np.concatenate([take(name, shape) for name, shape in entries])
@@ -590,11 +577,12 @@ def stats_to_record(stats: EmbeddingStats) -> dict:
 
 def stats_from_record(rec: dict) -> EmbeddingStats:
     """Training-side stats from a checkpoint's ``train_stats`` record; a
-    misshapen, non-finite or asymmetric entry raises a ValueError naming it.
+    misshapen or asymmetric entry raises a ValueError naming it.
     ``embedding_stats`` writes ``eta`` exactly symmetric."""
-    d = len(rec["mu"])
-    mu = _checked_array("train_stats.mu", rec["mu"], (d,))
-    eta = _checked_array("train_stats.eta", rec["eta"], (d, d))
+    mu, eta = (np.asarray(rec[key], dtype=np.float64) for key in ("mu", "eta"))
+    d = len(mu)
+    if eta.shape != (d, d):
+        raise ValueError(f"'train_stats.eta' does not fit shape {(d, d)}")
     if not np.array_equal(eta, eta.T):
         raise ValueError("'train_stats.eta' is not symmetric")
     return EmbeddingStats(mu=mu, eta=eta, count=int(rec["count"]))

@@ -24,11 +24,11 @@ import hashlib
 import json
 import multiprocessing
 import os
+import reprlib
 import threading
 import time
-import types
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -60,7 +60,7 @@ from .model import (
     stats_to_record,
 )
 from .nn import AdamState, adam_step, assert_all_finite
-from .ranges import check, rule
+from .ranges import Numbers, check, check_file_values, check_record, rule
 
 EPISODIC = "episodic"
 ONLINE = "online"
@@ -542,41 +542,6 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
-def _fits(value, hint) -> bool:
-    """Whether a parsed JSON value has the annotated type; JSON arrays fill
-    tuples, ints fill floats, and booleans are not numbers."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
-    if origin is tuple:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check_keys(source: str, prefix: str, cls: type, values: dict) -> None:
-    """Raise a ValueError naming ``source`` (``config file <path>`` or
-    ``checkpoint <path>``) and the dotted key of the first of ``values``
-    outside the range of its field in ``cls``."""
-    for key, value in values.items():
-        try:
-            check(cls, {key: value})
-        except ValueError as exc:
-            raise ValueError(f"{source}: {prefix + key!r} is out of range: {exc}") from None
-
-
-def _check_file_values(source: str, prefix: str, cls: type, values: dict, base=None):
-    """A ``cls`` from a file's ``values``, over the fields of ``base`` when
-    given. A value outside its own range names its key (``_check_keys``); a
-    rule that relates two fields names the section."""
-    _check_keys(source, prefix, cls, values)
-    try:
-        return cls(**values) if base is None else replace(base, **values)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {prefix.rstrip('.')!r} is out of range: {exc}") from None
-
-
 def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, int] | None:
     """``(name, value, dims value)`` of the first architecture field that
     ``values`` gives and ``dims`` contradicts; None when they agree."""
@@ -587,54 +552,22 @@ def architecture_mismatch(values: dict, dims: ModelDims) -> tuple[str, object, i
     return None
 
 
-#: Every key ``save_checkpoint`` writes, by the rule that checks its value:
-#: an object's keys are all required and no other is allowed, a dataclass
-#: stands for its fields' hints, and any other hint is read by ``_fits``.
-#: ``training_log`` must be a list, but its entries are not checked: nothing
-#: reads them from a checkpoint.
-_MATRIX_RECORD = {"shape": tuple[int, ...], "data": tuple[float, ...]}
+#: Every key ``save_checkpoint`` writes, by its rule (``ranges.check_record``).
+#: Nothing reads ``training_log``'s entries, so they are not checked.
+_MATRIX_RECORD = {"shape": tuple[int, ...], "data": Numbers(1)}
 _CHECKPOINT_RECORD = {
     "format": str,
     "config": TrainConfig,
     "params": {"dims": ModelDims, "matrices": dict},
-    "train_stats": {"mu": tuple[float, ...], "eta": tuple[tuple[float, ...], ...], "count": int},
+    "train_stats": {"mu": Numbers(1), "eta": Numbers(2), "count": int},
     "training_log": list,
 }
 
 
-def _check_record(source: str, key: str, value, schema, partial: bool = False) -> None:
-    """Raise a ValueError naming ``source`` and the dotted key of the first
-    part of ``value`` that does not fit ``schema`` (see
-    ``_CHECKPOINT_RECORD``); a list, also under an optional hint, names its
-    first wrong entry. With
-    ``partial`` (a config file) an object may leave keys out."""
-    if is_dataclass(schema):
-        schema = typing.get_type_hints(schema)
-    if isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"{source}: {key!r} is not a JSON object")
-        prefix = f"{key}." if key else ""
-        unknown = [k for k in value if k not in schema]
-        if unknown:
-            raise ValueError(f"{source}: unknown key {prefix + unknown[0]!r}")
-        for k, hint in schema.items():
-            if k in value:
-                _check_record(source, prefix + k, value[k], hint, partial)
-            elif not partial:
-                raise ValueError(f"{source}: {prefix + k!r} is missing")
-    elif not _fits(value, schema):
-        union = typing.get_origin(schema) in (typing.Union, types.UnionType)
-        for arm in typing.get_args(schema) if union else (schema,):
-            if typing.get_origin(arm) is tuple and isinstance(value, list):
-                for i, item in enumerate(value):
-                    _check_record(source, f"{key}.{i}", item, typing.get_args(arm)[0])
-        raise ValueError(f"{source}: {key!r} has the wrong type: {value!r}")
-
-
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read and validate a checkpoint. Every key is checked before any array
-    is built, and any defect raises a ValueError naming the file and the
-    dotted key."""
+    """Read and validate a checkpoint. The walk checks every key and turns
+    each array of numbers into a float64 array once; any defect raises a
+    ValueError naming the file and the dotted key."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
@@ -642,10 +575,10 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     source = f"checkpoint {path}"
     fmt = rec.get("format") if isinstance(rec, dict) else None
     if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"{source}: 'format' is {fmt!r}, not {CHECKPOINT_FORMAT!r}")
-    _check_record(source, "", rec, _CHECKPOINT_RECORD)
+        raise ValueError(f"{source}: 'format' is {reprlib.repr(fmt)}, not {CHECKPOINT_FORMAT!r}")
+    check_record(source, "", rec, _CHECKPOINT_RECORD)
     for name, matrix in rec["params"]["matrices"].items():
-        _check_record(source, f"params.matrices.{name}", matrix, _MATRIX_RECORD)
+        check_record(source, f"params.matrices.{name}", matrix, _MATRIX_RECORD)
     # Counted first, from the layer counts as written: the matrices a count
     # asks for must be there, however large it is.
     have = len(rec["params"]["matrices"])
@@ -654,8 +587,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         raise ValueError(
             f"{source}: 'params.matrices' has {have} matrices, but 'params.dims' gives {need}"
         )
-    config = _check_file_values(source, "config.", TrainConfig, rec["config"])
-    dims = _check_file_values(source, "params.dims.", ModelDims, rec["params"]["dims"])
+    config = check_file_values(source, "config.", TrainConfig, rec["config"])
+    dims = check_file_values(source, "params.dims.", ModelDims, rec["params"]["dims"])
     bad = architecture_mismatch(rec["config"], dims)
     if bad is not None:
         name, value, have = bad

@@ -10,7 +10,7 @@ from conftest import parse_report_csv
 from tard import pipeline
 from tard.cli import build_parser, main, resolve_config
 from tard.datagen import MAX_EVENTS, MAX_FEATURE_DIM, MAX_FEATURE_SCALE, MAX_NODES
-from tard.graphs import to_prop_graph
+from tard.graphs import MAX_CLASSES, to_prop_graph
 from tard.model import LAYER_COUNTS, MAX_D_HIDDEN, MAX_LAYERS
 from tard.pipeline import MAX_EPOCHS, MAX_TTT_STEPS, load_checkpoint, predict
 
@@ -363,6 +363,22 @@ class TestTrain:
         assert "config_hash=" in err
         assert load_checkpoint(out / "model.json").config.alpha1 == 0.25
 
+    def test_label_above_the_class_ceiling_exits_2_naming_the_line(
+        self, workdir, tmp_path, capsys
+    ):
+        """A label of 10**9 once made training allocate 119 GiB and crash."""
+        lines = (workdir["data"] / "train.jsonl").read_text().splitlines()
+        bad = {**json.loads(lines[1]), "label": 10**9}
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.jsonl").write_text("\n".join([lines[0], json.dumps(bad), *lines[2:]]))
+        out = tmp_path / "run"
+        args = ["train", str(data), "--config", str(workdir["config"]), "--out", str(out)]
+        assert main(args) == 2
+        named = f"{data / 'train.jsonl'}: line 2: 'label' is out of range: label must be <= "
+        assert f"error: {named}{MAX_CLASSES - 1}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_final_losses_reported_on_stderr_not_stdout(self, workdir, tmp_path, capsys):
         code = main(
             ["train", str(workdir["data"]), "--config", str(workdir["config"]),
@@ -697,6 +713,36 @@ class TestUnreadableFile:
         err = capsys.readouterr().err
         assert f"error: {named.format(bad=bad)}" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestLongValue:
+    """An error line cuts a long value short: its length does not grow with
+    the value it echoes."""
+
+    @pytest.mark.parametrize(
+        "value", [json.dumps([0] * 100_000), "[" * 900 + "]" * 900], ids=["long", "deep"]
+    )
+    @pytest.mark.parametrize(
+        "role, key",
+        [("gen-config", "'seed'"), ("checkpoint", "'config.ttt_steps'"), ("test-data", "'id'")],
+    )
+    def test_error_line_stays_short(self, workdir, tmp_path, capsys, role, key, value):
+        bad = tmp_path / "bad"
+        test_data = workdir["data"] / "test.jsonl"
+        if role == "gen-config":
+            rec, args = {"seed": "@"}, ["gen", "--config", str(bad)]
+        elif role == "checkpoint":
+            rec = json.loads(workdir["checkpoint"].read_text())
+            rec["config"]["ttt_steps"] = "@"
+            args = ["eval", str(bad), str(test_data)]
+        else:
+            rec = {**json.loads(test_data.read_text().splitlines()[0]), "id": "@"}
+            args = ["eval", str(workdir["checkpoint"]), str(bad)]
+        bad.write_text(json.dumps(rec).replace('"@"', value) + "\n")
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert key in line and "has the wrong type" in line
+        assert len(line.encode()) < 300, line
 
 
 class TestAblateAndSweep:

@@ -26,7 +26,7 @@ from tard.datagen import (
     read_dataset,
     write_dataset,
 )
-from tard.graphs import InvalidEventError, PropagationEvent, to_prop_graph
+from tard.graphs import MAX_CLASSES, InvalidEventError, PropagationEvent, to_prop_graph
 from tard.pipeline import TrainConfig, predict, train_phase
 
 
@@ -433,19 +433,20 @@ class TestDatasetFiles:
     @pytest.mark.parametrize(
         "field, value, named",
         [
-            ("label", 0.9, "'label' is 0.9"),
-            ("label", True, "'label' is True"),
-            ("label", "1", "'label' is '1'"),
-            ("label", 2**63, "'label' does not fit a 64-bit integer$"),
-            ("label", -(10**400), "'label' does not fit a 64-bit integer$"),
-            ("edges", [[0, 1.7]], r"'edges' entry \[0, 1.7\]"),
-            ("edges", [[0, 1], [True, 2]], r"'edges' entry \[True, 2\]"),
-            ("edges", [["0", "1"]], r"'edges' entry \['0', '1'\]"),
-            ("edges", 5, r"'edges' is not a list of \[source, target\] pairs"),
-            ("edges", {}, r"'edges' is not a list of \[source, target\] pairs"),
-            ("edges", [[0, 1, 2]], r"'edges' is not a list of \[source, target\] pairs"),
-            ("features", [[0.5, True]], "'features' must hold only JSON numbers"),
-            ("features", [[0.5, "0.5"]], "'features' must hold only JSON numbers"),
+            ("label", 0.9, "'label' has the wrong type: 0.9$"),
+            ("label", True, "'label' has the wrong type: True$"),
+            ("label", "1", "'label' has the wrong type: '1'$"),
+            ("label", 2**63, f"'label' is out of range: label must be <= {MAX_CLASSES - 1}$"),
+            ("label", -(10**400), "'label' is out of range: label must be >= 0$"),
+            ("label", 10**9, f"'label' is out of range: label must be <= {MAX_CLASSES - 1}$"),
+            ("edges", [[0, 1.7]], "'edges.0.1' has the wrong type: 1.7$"),
+            ("edges", [[0, 1], [True, 2]], "'edges.1.0' has the wrong type: True$"),
+            ("edges", [["0", "1"]], "'edges.0.0' has the wrong type: '0'$"),
+            ("edges", 5, "'edges' has the wrong type: 5$"),
+            ("edges", {}, "'edges' has the wrong type: {}$"),
+            ("edges", [[0, 1, 2]], r"'edges.0' has the wrong type: \[0, 1, 2\]$"),
+            ("features", [[0.5, True]], "'features.0.1' has the wrong type: True$"),
+            ("features", [[0.5, "0.5"]], "'features.0.1' has the wrong type: '0.5'$"),
         ],
         ids=[
             "label-float",
@@ -453,6 +454,7 @@ class TestDatasetFiles:
             "label-string",
             "label-beyond-int64",
             "label-huge-negative",
+            "label-above-the-class-ceiling",
             "edge-float",
             "edge-bool",
             "edge-strings",
@@ -475,9 +477,9 @@ class TestDatasetFiles:
     @pytest.mark.parametrize(
         "value, named",
         [
-            (5, "line 2: 'id' is 5, not a JSON string"),
-            (None, "line 2: 'id' is None, not a JSON string"),
-            ("first", "line 2: id 'first' repeats line 1"),
+            (5, "line 2: 'id' has the wrong type: 5"),
+            (None, "line 2: 'id' has the wrong type: None"),
+            ("first", "line 2: 'id' is 'first', as on line 1"),
         ],
         ids=["id-int", "id-null", "id-repeated"],
     )

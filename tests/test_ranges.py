@@ -5,6 +5,7 @@ test set through ``read_dataset``."""
 import json
 import random
 import re
+import sys
 import typing
 from dataclasses import asdict, fields, is_dataclass, replace
 
@@ -75,7 +76,8 @@ def _mutations(record, seed: int):
     rng = random.Random(seed)
     fixed = [-1, -2.5, 0, -0.0, 10**400, -(10**400), 1e308, -1e308, "x", True, None, [], [1], DELETE]
     for path in _paths(record):
-        drawn = [rng.choice([-1, 1]) * 10 ** rng.randint(0, 400), rng.uniform(-1e308, 1e308)]
+        # uniform(-1e308, 1e308) would always give inf: its span overflows.
+        drawn = [rng.choice([-1, 1]) * 10 ** rng.randint(0, 400), rng.uniform(-1.0, 1.0) * 1e308]
         for value in fixed + drawn:
             yield path, value
 
@@ -91,16 +93,19 @@ def _assert_named(exc: ValueError, source: str, path) -> None:
     assert any(k in holders or k.startswith(f"{full}.") for k in named), f"{path}: {message}"
 
 
-def _fuzz(record, seed: int, path_of_file, load, source: str, must_load) -> tuple[int, int]:
+def _fuzz(
+    record, seed: int, path_of_file, load, source: str, must_load, error=ValueError
+) -> tuple[int, int]:
     """Write each mutation of ``record`` and ``load`` it; a mutation that
-    ``must_load(path, value)`` may not be rejected."""
+    ``must_load(path, value)`` may not be rejected, and a rejection raises
+    ``error``."""
     loaded = rejected = 0
     for path, value in _mutations(record, seed):
         path_of_file.write_text(json.dumps(_mutated(record, path, value)))
         try:
             load()
             loaded += 1
-        except ValueError as exc:
+        except error as exc:
             assert not must_load(path, value), f"{path} = {value!r} was rejected: {exc}"
             _assert_named(exc, source, path)
             rejected += 1
@@ -140,24 +145,36 @@ def test_checkpoint_mutations_load_or_name_the_key(tmp_path):
 
 
 def test_dataset_mutations_load_or_name_the_line(tmp_path):
-    """Each mutation of a one-line test set loads, or names the file and line
-    1. So do a line nested beyond the JSON parser's recursion limit and one
-    with a byte that is not UTF-8. A finite feature, 1e308 included, loads."""
+    """Each mutation of a one-line test set loads, or names the file, line 1
+    and the key, as the config and checkpoint fuzzes do. A line nested beyond
+    the JSON parser's recursion limit and one with a byte that is not UTF-8
+    name the line. A finite feature, 1e308 included, loads, and so does a
+    line with a key no event reads."""
     domain = replace(shift_mid(0).domain, num_events=1, feature_dim=2, size_dist=(3, 3))
     record = event_to_json_dict(generate_domain(domain)[0])
     test_set = tmp_path / "test.jsonl"
-    lines = [json.dumps(_mutated(record, *m)).encode() for m in _mutations(record, 2)]
-    lines += [b"[" * 100_000 + b"]" * 100_000, json.dumps(record).encode().replace(b"id", b"i\xffd")]
-    loaded = rejected = 0
-    for line in lines:
-        test_set.write_bytes(line + b"\n")
-        try:
-            read_dataset(test_set)
-            loaded += 1
-        except InvalidEventError as exc:
-            assert str(exc).startswith(f"{test_set}: line 1: "), str(exc)
-            rejected += 1
+
+    def must_load(path, value):  # a finite feature, one edge fewer, or none
+        feature = path[0] == "features" and len(path) == 3 and type(value) in (int, float)
+        return (
+            (feature and abs(value) <= sys.float_info.max)
+            or (path[0] == "edges" and len(path) == 2 and value is DELETE)
+            or (path == ("edges",) and value == [])
+        )
+
+    loaded, rejected = _fuzz(
+        record, 2, test_set, lambda: read_dataset(test_set), f"{test_set}: line 1", must_load,
+        InvalidEventError,
+    )
     assert loaded > 30 and rejected > 200
+    deep = b"[" * 100_000 + b"]" * 100_000
+    invalid = f"^{re.escape(str(test_set))}: line 1: invalid JSON"
+    for line in (deep, json.dumps(record).encode().replace(b"id", b"i\xffd")):
+        test_set.write_bytes(line + b"\n")
+        with pytest.raises(InvalidEventError, match=invalid):
+            read_dataset(test_set)
     for value in (1e308, -1e308):
         test_set.write_text(json.dumps(_mutated(record, ("features", 2, 1), value)) + "\n")
         assert read_dataset(test_set)[0].features[2, 1] == value
+    test_set.write_text(json.dumps({**record, "retweets": [1, "x"]}) + "\n")
+    assert read_dataset(test_set)[0].edges == [tuple(edge) for edge in record["edges"]]
